@@ -47,7 +47,7 @@ const SCALE_ACTIVE: usize = 16;
 
 /// Workload sizes. [`Plan::full`] is the benchmark; [`Plan::tiny`] runs
 /// the same code paths in well under a second, for the self-tests.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Plan {
     /// Runs in the sweep.
     pub sweep_runs: usize,
@@ -905,11 +905,6 @@ pub struct Cycle {
 }
 
 impl Cycle {
-    /// Activates `robots` in this order, round after round.
-    pub fn new(robots: Vec<usize>) -> Self {
-        Cycle { robots, cursor: 0 }
-    }
-
     /// [`SCALE_ACTIVE`] robots of a hex packing of `n`: a 4 × 4 lattice of
     /// stride `side / 20`, placed by `seed` away from the packing's edge so
     /// that every seed activates robots with a like neighbourhood.
@@ -926,7 +921,7 @@ impl Cycle {
             .map(|k| (r0 + (k / 4) * stride) * side + c0 + (k % 4) * stride)
             .filter(|&i| i < n)
             .collect();
-        Cycle::new(robots)
+        Cycle { robots, cursor: 0 }
     }
 }
 
