@@ -1,17 +1,18 @@
-//! A machine-speed reference, measured alongside every timed round.
+//! A machine-speed reference, measured around every timed round of
+//! `sweep-small` and `window-mid`.
 //!
 //! The machines this benchmark runs on share their memory system with
 //! other tenants, and their speed drifts by a quarter and more over
 //! minutes. A fixed kernel — xorshift-indexed read-modify-writes over a
 //! 32 MiB buffer, past the private caches, like the world's pair store —
-//! slows with them. Scaling each round's timing by the kernel's time
-//! around it removes most of that drift; nothing the program does changes
-//! the kernel, so every change to the program still shows in full.
+//! slows with them. Scaling each round's rate by the kernel's time around
+//! it removes most of that drift; nothing the program does changes the
+//! kernel, so every change to the program still shows in full.
 
 use std::time::Instant;
 
-/// Seconds one pass of the kernel takes on the reference machine. Timings
-/// in the JSON result are scaled to a machine where the kernel takes this
+/// Seconds one pass of the kernel takes on the reference machine. Scaled
+/// rates read as if measured on a machine where the kernel takes this
 /// long.
 pub const REF_SECONDS: f64 = 0.020;
 

@@ -12,7 +12,9 @@ use std::time::Instant;
 use fatrobots_model::{Phase, RobotId};
 use fatrobots_scheduler::{Adversary, Directive, Liveness, MotionControl, SystemSnapshot};
 use fatrobots_sim::checkpoint::CheckpointedSweep;
-use fatrobots_sim::experiment::{AdversaryKind, RunSpec, RunSummary};
+use fatrobots_sim::experiment::{
+    self, AdversaryKind, RunHooks, RunSpec, RunStatus, RunSummary, PROGRESS_EVERY_DEFAULT,
+};
 use fatrobots_sim::init::Shape;
 use fatrobots_sim::sweep::{SupervisionPolicy, SweepObserver, SweepPool};
 use fatrobots_sim::{SimConfig, Simulator, World, WorldMode};
@@ -56,8 +58,6 @@ pub struct Plan {
     pub sweep_n: (usize, usize),
     /// Per-run event cap of the sweep, per robot.
     pub sweep_cap_per_robot: usize,
-    /// Events between the sweep's journalled progress records.
-    pub sweep_progress_every: usize,
     /// One round of windowed runs: robot count and event window of each.
     pub windows: &'static [(usize, usize)],
     /// Robots of the scale workload.
@@ -78,7 +78,6 @@ impl Plan {
             sweep_runs: 390,
             sweep_n: (4, 16),
             sweep_cap_per_robot: 300,
-            sweep_progress_every: 2048,
             windows: &[
                 (32, 6_000),
                 (64, 2_000),
@@ -89,7 +88,7 @@ impl Plan {
             ],
             scale_n: 10_000,
             scale_rounds: 10,
-            setup_repeats: 25,
+            setup_repeats: 101,
             reference_steps: 1 << 20,
         }
     }
@@ -101,7 +100,6 @@ impl Plan {
             sweep_runs: 8,
             sweep_n: (4, 6),
             sweep_cap_per_robot: 100,
-            sweep_progress_every: 64,
             windows: &[(8, 300), (10, 300), (12, 300)],
             scale_n: 400,
             scale_rounds: 2,
@@ -119,7 +117,10 @@ fn mix(seed: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The simulator configuration `experiment::run` derives from a spec.
+/// The simulator configuration `experiment::run` derives from a spec. The
+/// runs that need a simulator of their own — traced, or under the scale
+/// workload's adversary — are built with it; `window-mid`'s two-thread runs
+/// go through `experiment::run_with_hooks` and are checked against them.
 fn config(spec: &RunSpec) -> SimConfig {
     SimConfig {
         max_events: spec.max_events,
@@ -214,8 +215,9 @@ impl Counters {
         self.decision_misses += dmisses;
     }
 
-    fn add_parallel(&mut self, sim: &Simulator) {
-        let (batches, batched, hits, aborts) = sim.parallel_stats();
+    /// Adds `parallel_stats`: batches, batched events, speculation hits
+    /// and aborts.
+    fn add_parallel(&mut self, (batches, batched, hits, aborts): (u64, u64, u64, u64)) {
         self.batches += batches;
         self.batched_events += batched;
         self.spec_hits += hits;
@@ -422,14 +424,12 @@ fn sweep_specs(seed: u64, plan: &Plan) -> Vec<RunSpec> {
         .collect()
 }
 
-/// Times `repeats` set-ups and records `setup_s` (their median, scaled to
-/// the reference machine) plus, for
-/// the traced run, the generation and construction parts. `specs` are the
+/// Times `repeats` set-ups and records `setup_s`, their median, plus the
+/// generation and construction parts for the traced run. `specs` are the
 /// runs one set-up prepares; `extra` is the rest of the set-up (pool spawn,
 /// journal open), run after the simulators are built.
 fn time_setup(
     out: &mut Outcome,
-    speed: &mut Speed,
     plan: &Plan,
     specs: &[RunSpec],
     adversary: &dyn Fn(&RunSpec) -> Box<dyn Adversary>,
@@ -437,7 +437,6 @@ fn time_setup(
 ) {
     let (mut total, mut generate, mut new) =
         (Samples::default(), Samples::default(), Samples::default());
-    let before = speed.measure(1);
     for _ in 0..plan.setup_repeats {
         let start = Instant::now();
         let (mut gen_s, mut new_s) = (0.0, 0.0);
@@ -460,13 +459,7 @@ fn time_setup(
         generate.push(gen_s * 1e3);
         new.push(new_s * 1e3);
     }
-    let reference = (before + speed.measure(1)) / 2.0;
-    out.metric("setup_s", total.median() * REF_SECONDS / reference, "s");
-    out.notes.push(format!(
-        "setup_s at the wall clock: {}; reference {:.3} ms",
-        total.describe("s"),
-        reference * 1e3
-    ));
+    out.timing("setup_s", &total, "s");
     out.metric("init.generate_ms", generate.median(), "ms");
     out.metric("engine.new_ms", new.median(), "ms");
 }
@@ -606,7 +599,7 @@ pub fn sweep_small(
         });
         drop(pool);
     };
-    time_setup(out, speed, plan, &specs, &spec_adversary, &mut setup_extra);
+    time_setup(out, plan, &specs, &spec_adversary, &mut setup_extra);
 
     // The same runs in-process at one thread. Traced, each traced run is
     // followed by the same run untraced, for the overhead and the per-run
@@ -642,8 +635,9 @@ pub fn sweep_small(
     ));
     record_looks(out, &spans.looks);
 
+    // The policy `report --checkpoint-dir` sweeps with.
     let policy = SupervisionPolicy {
-        progress_every: plan.sweep_progress_every,
+        progress_every: PROGRESS_EVERY_DEFAULT,
         ..SupervisionPolicy::default()
     };
     let mut pool = SweepPool::new(THREADS);
@@ -799,8 +793,8 @@ impl<'a> PairedRuns<'a> {
         serial
     }
 
-    /// Runs `spec` at two threads and checks it against its single-thread
-    /// outcome `serial`.
+    /// Runs `spec` at two threads under the given adversary and checks it
+    /// against its single-thread outcome `serial`.
     fn run_t2(
         &mut self,
         spec: &RunSpec,
@@ -816,8 +810,49 @@ impl<'a> PairedRuns<'a> {
         let t = Instant::now();
         sim.run();
         self.t2_ns += t.elapsed().as_nanos() as u64;
-        self.counters.add_parallel(&sim);
+        self.counters.add_parallel(sim.parallel_stats());
         let parallel = finish(&mut sim, spec.world_mode, out);
+        out.check(parallel == *serial, || {
+            format!("threads 1 and threads 2 differ for {spec:?}: {serial:?} vs {parallel:?}")
+        });
+    }
+
+    /// Runs `spec` at two threads through `experiment::run_with_hooks`, the
+    /// product's own set-up, and checks it against its single-thread
+    /// outcome `serial`. A progress callback after every event keeps the
+    /// engine fingerprint of the last one.
+    fn run_t2_product(&mut self, spec: &RunSpec, serial: &Finish, out: &mut Outcome) {
+        let spec2 = RunSpec {
+            threads: THREADS,
+            ..*spec
+        };
+        let mut fingerprint = None;
+        let mut keep = |_: usize, fp: u64| fingerprint = Some(fp);
+        let hooks = RunHooks {
+            progress: Some(&mut keep),
+            progress_every: 1,
+            ..RunHooks::default()
+        };
+        let t = Instant::now();
+        let status = experiment::run_with_hooks(&spec2, hooks);
+        self.t2_ns += t.elapsed().as_nanos() as u64;
+        let RunStatus::Completed(s) = status else {
+            out.check(false, || format!("threads-2 run of {spec:?} was cancelled"));
+            return;
+        };
+        self.counters.add_parallel((
+            s.par_batches,
+            s.par_batched_events,
+            s.speculation_hits,
+            s.speculation_aborts,
+        ));
+        let parallel = Finish {
+            events: s.events,
+            fingerprint: fingerprint.unwrap_or_default(),
+            terminated: s.terminated,
+            gathered: s.gathered,
+            distance_bits: s.distance.to_bits(),
+        };
         out.check(parallel == *serial, || {
             format!("threads 1 and threads 2 differ for {spec:?}: {serial:?} vs {parallel:?}")
         });
@@ -858,10 +893,10 @@ pub fn window_mid(
             ..RunSpec::new(n, mix(seed, k as u64))
         }
     };
-    // Set-up builds the simulators of the first two rounds: a single
+    // Set-up builds the simulators of the first four rounds: a single
     // round's set-up is too short to time steadily.
-    let first: Vec<RunSpec> = (0..2 * plan.windows.len()).map(spec).collect();
-    time_setup(out, speed, plan, &first, &spec_adversary, &mut |_| {});
+    let first: Vec<RunSpec> = (0..4 * plan.windows.len()).map(spec).collect();
+    time_setup(out, plan, &first, &spec_adversary, &mut |_| {});
 
     let probes = Probes::default();
     let mut runs = PairedRuns::new(trace.then_some(&probes));
@@ -881,7 +916,7 @@ pub fn window_mid(
             .collect();
         let after = speed.measure(1);
         for (s, serial) in specs.iter().zip(&serial) {
-            runs.run_t2(s, serial, &|| spec_adversary(s), out);
+            runs.run_t2_product(s, serial, out);
         }
         let rate = (runs.events - events0) as f64 / ((runs.t1_ns - t1_ns0) as f64 / 1e9);
         wall_rates.push(rate);
@@ -967,20 +1002,21 @@ pub fn scale_10k(
         ..RunSpec::new(plan.scale_n, seed)
     };
     let adversary = || -> Box<dyn Adversary> { Box::new(Cycle::for_hex(seed, plan.scale_n)) };
-    time_setup(out, speed, plan, &[spec], &|_| adversary(), &mut |_| {});
+    time_setup(out, plan, &[spec], &|_| adversary(), &mut |_| {});
 
     let probes = Probes::default();
     let mut runs = PairedRuns::new(trace.then_some(&probes));
+    let before = speed.measure(1);
     let serial = runs.run_t1(&spec, round, &adversary, out);
+    let after = speed.measure(1);
     runs.run_t2(&spec, &serial, &adversary, out);
     // Rounds differ in work as the active robots settle, so the rate is
-    // taken over the whole window. It is not scaled by the speed
-    // reference: this workload's slowdowns do not follow the kernel's, and
-    // scaling widened its spread over five seeds from 0.075 to 0.19.
+    // taken over the whole window, scaled by the references around it.
     let rate = runs.events as f64 / (runs.t1_ns as f64 / 1e9);
-    out.metric("events_per_s", rate, "1/s");
+    let reference = (before + after) / 2.0;
+    out.metric("events_per_s", scaled_rate(rate, reference), "1/s");
     out.notes.push(format!(
-        "events_per_s: {rate:.6} 1/s over {} rounds at the wall clock; per round {}",
+        "events_per_s at the wall clock: {rate:.6} 1/s over {} rounds; per round {}",
         plan.scale_rounds,
         runs.window_rates.describe("1/s")
     ));
