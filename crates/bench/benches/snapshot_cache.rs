@@ -1,5 +1,5 @@
 //! E9 — Look-snapshot cost under the paper's event-serial schedule: cached
-//! incremental world vs from-scratch recomputation.
+//! world (`WorldMode::Sparse`) vs from-scratch recomputation.
 //!
 //! The workload is honest by construction: a real simulation (the paper's
 //! algorithm under a round-robin schedule) is run once per size, and the
@@ -83,7 +83,7 @@ fn bench_snapshot_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("look_snapshot");
     group.sample_size(10);
     // Warm-up skips put the recording window mid-gathering; the window is
-    // long enough that the one-time cost of filling the cold cache (n²/2
+    // long enough that the one-time cost of filling the cold rows (n²/2
     // pairs) is a small fraction of the replayed pair lookups.
     for &(n, warm, events) in &[(8usize, 0, 4_000), (32, 20_000, 4_000), (96, 20_000, 6_000)] {
         let (start, ops) = record_trace(n, 3, warm, events);
@@ -91,7 +91,7 @@ fn bench_snapshot_cache(c: &mut Criterion) {
         // Both modes must replay to the same answers — the equivalence the
         // determinism suite pins, re-checked here on the bench workload.
         assert_eq!(
-            replay(&start, &ops, WorldMode::Incremental),
+            replay(&start, &ops, WorldMode::Sparse),
             replay(&start, &ops, WorldMode::Scratch),
             "cached and scratch replays diverged at n={n}"
         );
@@ -99,7 +99,7 @@ fn bench_snapshot_cache(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("cached", format!("n={n}/looks={looks}")),
             &input,
-            |b, (start, ops)| b.iter(|| black_box(replay(start, ops, WorldMode::Incremental))),
+            |b, (start, ops)| b.iter(|| black_box(replay(start, ops, WorldMode::Sparse))),
         );
         group.bench_with_input(
             BenchmarkId::new("scratch", format!("n={n}/looks={looks}")),

@@ -1,4 +1,5 @@
-//! `report` — regenerate the experiment tables of EXPERIMENTS.md.
+//! `report` — regenerate the experiment tables (documented in the
+//! README's `report` section and by `report --help`).
 //!
 //! ```sh
 //! cargo run --release -p fatrobots-bench --bin report                  # all tables
@@ -35,7 +36,7 @@ const USAGE: &str = "\
 Usage: report [OPTIONS]
        report fuzz [--budget <N>] [--fuzz-seed <N>] [--out <DIR>] [--json <PATH>]
 
-Regenerates the experiment tables of EXPERIMENTS.md. With no table flags,
+Regenerates the experiment tables selected below. With no table flags,
 every table is produced.
 
 Table selection:

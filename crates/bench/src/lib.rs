@@ -1,7 +1,8 @@
 //! # fatrobots-bench
 //!
 //! Shared helpers for the Criterion benchmarks and the `report` binary that
-//! regenerates the tables of `EXPERIMENTS.md`. The actual experiment logic
+//! regenerates the experiment tables (see `report --help` and the README's
+//! `report` section). The actual experiment logic
 //! lives in [`fatrobots_sim::experiment`] (with the parallel dispatch in
 //! [`fatrobots_sim::sweep`]); this crate provides the table printer, the
 //! hand-rolled [`json`] layer, and the `bench_report.json` serializer so
@@ -30,8 +31,11 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 ///
 /// * **v1** — initial layout (tables → groups → aggregate + runs).
 /// * **v2** — per-run records additionally carry
-///   `visibility_cache_hits` / `visibility_cache_misses` (the incremental
-///   world's pair-cache telemetry). v2 is a pure field addition: every v1
+///   `visibility_cache_hits` / `visibility_cache_misses` (the world's
+///   pair-cache telemetry: every pair of every Look, and every direct
+///   `World::sees` probe, counts once — a hit when its stored answer was
+///   clean, a miss when it had to be (re)computed; both 0 under
+///   `WorldMode::Scratch`). v2 is a pure field addition: every v1
 ///   key is still present with the same meaning, and readers written
 ///   against v1 keep working — see [`report_supported`].
 /// * **v3** — per-run records additionally carry the output-sensitive
@@ -53,9 +57,10 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 ///   diffing cleanly against v4 tables.
 /// * **v5** — pair-store telemetry. Per-run records additionally carry
 ///   `world_pair_entries` / `world_pair_registrations`: the visibility
-///   pair-store size at the end of the run (the full Θ(n²) triangle under
-///   the dense world mode, only the computed pairs under the sparse one)
-///   and its live corridor-registration count. A pure field addition;
+///   pair-store size at the end of the run (the pairs actually computed —
+///   at most n(n−1)/2, reached once every robot has Looked) and its
+///   corridor-registration count (live ones plus dead ones not yet
+///   compacted); both 0 under `WorldMode::Scratch`. A pure field addition;
 ///   v1–v4 baselines keep diffing cleanly against v5 tables.
 /// * **v6** — parallel-executor telemetry. The document root carries a
 ///   `threads` key (the `--threads` value every run executed with, 1 =
@@ -655,8 +660,8 @@ mod tests {
             runs[0].get("hull_rebuilds"),
             Some(&JsonValue::Int(m)) if m > 0
         ));
-        // v5: pair-store telemetry — the default dense world reports the
-        // full n(n-1)/2 triangle (n=3 → 3 entries).
+        // v5: pair-store telemetry — every robot Looked, so the store
+        // holds all n(n-1)/2 pairs (n=3 → 3 entries).
         assert_eq!(runs[0].get("world_pair_entries"), Some(&JsonValue::Int(3)));
         assert!(matches!(
             runs[0].get("world_pair_registrations"),

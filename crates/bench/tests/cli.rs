@@ -337,7 +337,7 @@ fn json_report_is_parseable_with_one_record_per_run() {
                 "adversary",
                 "events",
                 "gathered",
-                // Schema v2: the incremental world's cache telemetry.
+                // Schema v2: the world's pair-cache telemetry.
                 "visibility_cache_hits",
                 "visibility_cache_misses",
                 // Schema v3: the output-sensitive loop's counters.

@@ -20,7 +20,7 @@
 //!   as opaque obstacles, as defined in Section 2 of the paper;
 //! * [`grid`] — a uniform spatial grid over point sites with conservative
 //!   capsule (corridor) queries, the index behind the simulator's
-//!   incremental world state;
+//!   cached world state;
 //! * [`predicates`] — the ε-tolerant orientation/collinearity predicates that
 //!   every other module builds on;
 //! * [`kernel`] — the predicate [`Kernel`] abstraction: the default

@@ -799,7 +799,16 @@ fn strip_cover(ci: Point, cj: Point, obstacles: &[Point], square: f64, shrink: f
             }
             strips.push((t / span, o));
         }
-        if strips.is_empty() {
+        // On the square's diagonal `a = b` (the lines parallel to the
+        // chord) every strip reduces to `|a − o| ≤ hw`, so a cover must
+        // reach both diagonal corners `(±square, ±square)`. Most uncovered
+        // corridors fail this O(k) test and skip the polygon clipping.
+        let reaches = |end: f64| {
+            strips
+                .iter()
+                .any(|&(_, o)| (end - hw..=end + hw).contains(&o))
+        };
+        if !reaches(square) || !reaches(-square) {
             return false;
         }
         strips

@@ -20,7 +20,7 @@ pub const TOUCH_TOL: f64 = 1e-6;
 /// negative (overlap counts as contact). The single definition shared by
 /// [`GeometricConfig::touching`], the component partition, and the
 /// simulator's grid-local connectivity — these must agree exactly for the
-/// incremental world state to stay bit-identical to the from-scratch path.
+/// cached world state to stay bit-identical to the from-scratch path.
 #[inline]
 pub fn gap_touches(gap: f64) -> bool {
     approx_eq_tol(gap, 0.0, TOUCH_TOL) || gap < 0.0

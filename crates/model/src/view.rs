@@ -75,8 +75,8 @@ impl LocalView {
     /// list of visible robot indices (ascending, excluding `i`), borrowing
     /// the configuration instead of cloning it.
     ///
-    /// This is the constructor the simulator's incremental world state uses:
-    /// the visibility decisions come from its cached pair matrix, so the
+    /// This is the constructor the simulator's cached world state uses:
+    /// the visibility decisions come from its pair store, so the
     /// per-Look cost is one small allocation for the view itself.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Release-mode large-n smoke: one n = 64 gathering run with a bounded
-//! event budget, exercising the incremental world state (grid, visibility
-//! cache, cached predicates) at a size the pre-cache engine could not touch
-//! in CI. Exits non-zero when any invariant breaks.
+//! event budget on the default cached world (grid, sparse visibility pair
+//! store, cached predicates), at a size the pre-cache engine could not
+//! touch in CI. Exits non-zero when any invariant breaks.
 //!
 //! ```sh
 //! cargo run --release -p fatrobots-sim --example large_n_smoke

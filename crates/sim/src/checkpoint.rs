@@ -291,16 +291,18 @@ fn adversary_from_tag(tag: u8, k: u64) -> Option<AdversaryKind> {
 
 fn world_mode_tag(mode: WorldMode) -> u8 {
     match mode {
-        WorldMode::Incremental => 0,
         WorldMode::Sparse => 1,
         WorldMode::Scratch => 2,
     }
 }
 
+/// Tag `0` is the retired dense world, which earlier builds wrote for the
+/// default world mode. It decodes as the cached world that replaced it (the
+/// two were pinned event-for-event identical), so a sweep journalled before
+/// the upgrade still resumes its rows.
 fn world_mode_from_tag(tag: u8) -> Option<WorldMode> {
     Some(match tag {
-        0 => WorldMode::Incremental,
-        1 => WorldMode::Sparse,
+        0 | 1 => WorldMode::Sparse,
         2 => WorldMode::Scratch,
         _ => return None,
     })
@@ -926,6 +928,41 @@ mod tests {
             let other = RunSpec::new(4, 4);
             assert_eq!(journal.progress(3, &other), None);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journals_written_for_the_retired_dense_world_still_resume() {
+        let dir = std::env::temp_dir().join(format!("frck_tag0_{}", std::process::id()));
+        let path = dir.join("journal.frck");
+        let spec = RunSpec {
+            shape: Shape::Circle,
+            adversary: AdversaryKind::RoundRobin,
+            max_events: 20_000,
+            ..RunSpec::new(3, 1)
+        };
+        let summary = run(&spec);
+        let mut payload = encode_record(&Record::Completed {
+            ordinal: 0,
+            summary: Box::new(summary.clone()),
+        });
+        // kind u8 | ordinal u64 | n u64 | seed u64 | shape, strategy and
+        // adversary u8 | fault_k u64 | delta f64 | max_events u64 |
+        // shadow u8 | world_mode u8: rewrite the tag an earlier build wrote
+        // for its default (dense) world.
+        let at = 1 + 8 + 8 + 8 + 3 + 8 + 8 + 8 + 1;
+        assert_eq!(payload[at], world_mode_tag(WorldMode::Sparse));
+        payload[at] = 0;
+        let mut bytes = encode_journal(&[]);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::create_dir_all(&dir).expect("create journal dir");
+        std::fs::write(&path, &bytes).expect("write tag-0 journal");
+        let mut session = CheckpointedSweep::open(&path).expect("open tag-0 journal");
+        assert!(session.journal.recovery().clean);
+        assert_eq!(session.take_completed(0, &spec), Some(summary));
+        assert_eq!(session.telemetry().resumed_rows, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -81,11 +81,12 @@ pub struct SimConfig {
     /// Record a configuration-level sample every this many events
     /// (0 disables sampling).
     pub sample_every: usize,
-    /// How the engine maintains the derived world state: incrementally (the
-    /// default — cached visibility matrix, lazily recomputed hull and
-    /// predicates) or from scratch on every query. Both modes produce the
-    /// identical event stream; scratch mode exists as the reference
-    /// behaviour for the determinism suite.
+    /// How the engine maintains the derived world state:
+    /// [`WorldMode::Sparse`] (the default and the only production value —
+    /// cached pair store, lazily recomputed hull and predicates) or
+    /// [`WorldMode::Scratch`], which recomputes everything per query. Both
+    /// produce the identical event stream; scratch mode exists as the
+    /// reference behaviour for the determinism suite.
     pub world_mode: WorldMode,
     /// Memoize decisions per robot, keyed on the world's view version (the
     /// default): a Compute event whose robot provably has the same view as
@@ -120,7 +121,7 @@ impl Default for SimConfig {
             collinearity_tol: 1e-9,
             record_trace: false,
             sample_every: 50,
-            world_mode: WorldMode::Incremental,
+            world_mode: WorldMode::Sparse,
             decision_cache: true,
             threads: 1,
             cancel: CancelFlag::default(),
@@ -254,7 +255,7 @@ impl Simulator {
         self.world.centers()
     }
 
-    /// The incremental world state (centers plus cached derived state).
+    /// The world state (centers plus cached derived state).
     pub fn world(&self) -> &World {
         &self.world
     }

@@ -1,10 +1,10 @@
-//! The experiment harness behind EXPERIMENTS.md.
+//! The experiment harness behind the `report` tables.
 //!
-//! Every table of EXPERIMENTS.md is produced by one of the `*_table`
-//! functions below; the `report` binary in `fatrobots-bench` simply calls
-//! them and prints the rows, and the Criterion benches reuse the same
-//! functions so the published numbers and the benchmarked code paths cannot
-//! drift apart.
+//! Every table `report` prints (see `report --help` and the README's
+//! `report` section) is produced by one of the `*_table` functions below;
+//! the `report` binary in `fatrobots-bench` simply calls them and prints
+//! the rows, and the Criterion benches reuse the same functions so the
+//! published numbers and the benchmarked code paths cannot drift apart.
 
 use std::fmt;
 
@@ -199,9 +199,10 @@ pub struct RunSpec {
     /// Compute pipeline); other strategies ignore it. Off by default — the
     /// oracle roughly triples per-Compute cost.
     pub shadow: bool,
-    /// How the world answers queries: the dense incremental cache (the
-    /// default), the sparse store for large n, or from-scratch reference
-    /// recomputation. All three are event-for-event identical.
+    /// How the world answers queries: the cached world
+    /// ([`WorldMode::Sparse`], the default and the only production value)
+    /// or from-scratch reference recomputation ([`WorldMode::Scratch`]).
+    /// Both are event-for-event identical.
     pub world_mode: WorldMode,
     /// Thread budget for the run ([`SimConfig::threads`]): `1` (the
     /// default) runs the serial event loop, more routes the run through the
@@ -229,7 +230,7 @@ impl RunSpec {
             delta: 1e-3,
             max_events: 60_000 + 20_000 * n,
             shadow: false,
-            world_mode: WorldMode::Incremental,
+            world_mode: WorldMode::Sparse,
             threads: 1,
             sample_every: SimConfig::default().sample_every,
         }
@@ -262,10 +263,10 @@ pub struct RunSummary {
     /// Fraction of sampled steps after full visibility where the hull did
     /// not grow (Lemma 21 witness).
     pub convergence_monotonicity: Option<f64>,
-    /// Pairwise-visibility lookups answered from the incremental world's
-    /// cache.
+    /// Pairwise-visibility lookups answered from the world's pair store
+    /// (every pair of every Look counts once, as a hit or a miss).
     pub visibility_cache_hits: u64,
-    /// Pairwise-visibility lookups that had to be recomputed.
+    /// Pairwise-visibility lookups that had to be (re)computed.
     pub visibility_cache_misses: u64,
     /// Compute events answered by replaying the memoized decision (the
     /// robot's view version was unchanged since its previous decision).
@@ -276,12 +277,12 @@ pub struct RunSummary {
     pub hull_repairs: u64,
     /// Hull-cache refreshes that fell back to a full rebuild.
     pub hull_rebuilds: u64,
-    /// Visibility pair-store entries materialized by the end of the run —
-    /// the full Θ(n²) triangle in the dense world, only the computed pairs
-    /// in the sparse one.
+    /// Visibility pair-store entries materialized by the end of the run:
+    /// the pairs actually computed (at most n(n-1)/2, reached once every
+    /// robot has Looked).
     pub world_pair_entries: u64,
-    /// Live corridor registrations held by the pair store at the end of
-    /// the run.
+    /// Corridor registrations held by the pair store at the end of the run
+    /// (live ones plus dead ones not yet compacted).
     pub world_pair_registrations: u64,
     /// Batches committed by the parallel executor (0 for serial runs).
     pub par_batches: u64,
@@ -997,7 +998,6 @@ pub fn scale_table_spec(event_cap: usize) -> TableSpec {
                 SpecGroup::per_seed(format!("n={n}"), &[1], |seed| RunSpec {
                     shape: Shape::Hex,
                     adversary: AdversaryKind::RoundRobin,
-                    world_mode: WorldMode::Sparse,
                     max_events: SCALE_TABLE_EVENT_CAP.min(event_cap),
                     sample_every: 0,
                     ..RunSpec::new(n, seed)

@@ -30,8 +30,8 @@
 //! * [`shadow`] — the exact-arithmetic shadow oracle: replays every Compute
 //!   decision under the exact kernel via [`engine::Simulator::run_observed`]
 //!   and attributes ε-vs-exact decision divergences to predicate sites;
-//! * [`experiment`] — the parameter-sweep harness behind EXPERIMENTS.md and
-//!   the Criterion benches;
+//! * [`experiment`] — the parameter-sweep harness behind the `report`
+//!   tables (README, `report` section) and the Criterion benches;
 //! * [`fuzz`] — the shrinking scenario fuzzer: sweeps shape × adversary ×
 //!   fault × n × seed under an event budget hunting non-gathering runs,
 //!   shrinks finds via deterministic replay, and emits the livelock
@@ -41,10 +41,11 @@
 //!   order, with a supervised mode that converts panicking runs into
 //!   structured failure rows (bounded retries, quarantine) and reaps hung
 //!   runs via a wall-clock watchdog;
-//! * [`world`] — the incremental world state: ground-truth centers plus a
-//!   cached pairwise visibility matrix (lazy dirty-pair invalidation over a
-//!   spatial grid), cached hull/connectivity/validity, and a from-scratch
-//!   reference mode that pins the cached path to bit-identical results.
+//! * [`world`] — the world state: ground-truth centers plus a sparse pair
+//!   store of computed visibility answers (lazy dirty-pair invalidation
+//!   over a spatial grid), cached hull/connectivity/validity, and a
+//!   from-scratch reference mode that pins the cached path to
+//!   bit-identical results.
 //!
 //! ## Quick example
 //!

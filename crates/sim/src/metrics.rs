@@ -24,7 +24,7 @@ pub struct Sample {
 
 /// The configuration-level predicate values behind one [`Sample`],
 /// decoupled from *how* they were obtained: [`SamplePredicates::from_centers`]
-/// recomputes everything from scratch, while the incremental world state
+/// recomputes everything from scratch, while the cached world state
 /// supplies them from its caches via [`SamplePredicates::from_hull`]. Both
 /// paths evaluate the same formulas on the same inputs, so the recorded
 /// samples are identical.
@@ -51,7 +51,7 @@ impl SamplePredicates {
     }
 
     /// Builds the predicates from an already-computed hull and
-    /// connectivity answer (the incremental world's cached values).
+    /// connectivity answer (the cached world's values).
     pub fn from_hull(
         hull: &ConvexHull,
         all_on_hull: bool,
@@ -129,7 +129,7 @@ impl Metrics {
     }
 
     /// Records a [`Sample`] from already-evaluated predicates (the
-    /// incremental world's cached hull and connectivity).
+    /// cached world's hull and connectivity).
     pub fn record_sample_predicates(&mut self, p: SamplePredicates) {
         let sample = Sample {
             event: self.events,

@@ -1,4 +1,4 @@
-//! Incremental world state.
+//! The world state: ground-truth centers plus cached derived state.
 //!
 //! The paper's model is event-serial by construction — exactly one robot
 //! acts per event — so between two consecutive Look snapshots at most one
@@ -6,12 +6,17 @@
 //! centers plus derived state that is **incrementally maintained** instead
 //! of being recomputed from scratch on every event:
 //!
-//! * a symmetric pairwise **visibility matrix**, invalidated pair-by-pair
-//!   when a move can actually have changed the pair's answer;
+//! * a **pair store** of visibility answers, holding only the pairs that
+//!   have been computed, with per-robot sorted adjacency lists that *are*
+//!   the visible sets, invalidated pair-by-pair when a move can actually
+//!   have changed the pair's answer;
 //! * the **convex hull** (and the all-on-hull flag), the **connectivity**
 //!   predicate, the **validity** (no-overlap) predicate and the minimum
 //!   pairwise gap, each tagged with a configuration version and recomputed
 //!   lazily on first use after a move.
+//!
+//! Memory is linear in n plus the computed pairs, which is what lets the
+//! same world serve n = 3 and n = 10⁴.
 //!
 //! ## The invalidation rule
 //!
@@ -24,20 +29,19 @@
 //! reintroduce the quadratic cost, so the corridor membership is indexed
 //! through the spatial grid:
 //!
-//! * when a pair is (re)computed, it registers itself in every grid cell of
-//!   the conservative cover of its corridor (the grid's capsule walk);
-//! * when robot `i` moves, only the registrations of the cell it left and
-//!   the cell it entered are drained, and exactly those pairs are marked
-//!   dirty.
+//! * when a pair is (re)computed, it registers itself in every cell of the
+//!   conservative cover of its corridor, at the grid level matched to its
+//!   chord length (so each pair holds O(1) cells);
+//! * when robot `i` moves, only the registrations of the cells it left and
+//!   entered (one pair of cells per level) are drained, and exactly those
+//!   pairs are marked dirty and queued on both endpoints' pending rows.
 //!
 //! The cover is a superset of the cells that can hold a relevant obstacle
 //! (and always contains the endpoints' own cells), so a stale hit is
 //! impossible: any robot whose move can change the pair's answer — either
 //! endpoint, a robot leaving the corridor, a robot entering it — stamps a
-//! registered cell. Cache hits are O(1); a move dirties only the pairs
-//! registered on the two touched cells; the witness-segment search runs
-//! only for pairs that are actually dirty, against a grid-pruned obstacle
-//! slice.
+//! registered cell. A Look recomputes only its row's queued dirty pairs,
+//! against a grid-pruned obstacle slice.
 //!
 //! ## Bit-identical results
 //!
@@ -74,48 +78,46 @@ const GRID_CELL: f64 = 4.0 * UNIT_RADIUS;
 /// smaller than a cell.
 const CONTACT_QUERY_MARGIN: f64 = 1e-3;
 
-/// Minimum length before a cell registration list is ever compacted (dead
-/// entries dropped). Beyond it, compaction triggers when a list doubles
-/// past its size after the previous compaction, so the work is amortized
-/// O(1) per push while garbage from frequently recomputed pairs stays
-/// bounded.
+/// Minimum length before a cell registration list or a pending row is ever
+/// compacted (dead entries dropped). Beyond it, compaction triggers when a
+/// list doubles past its size after the previous compaction, so the work
+/// is amortized O(1) per push while garbage from frequently recomputed
+/// pairs stays bounded.
 const REGISTRATION_COMPACT_LEN: usize = 64;
 
 /// How a [`World`] answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldMode {
-    /// Cached dense pair matrix with grid-indexed dirty-pair invalidation
-    /// (the default, and the pinned reference for the sparse mode). Memory
-    /// is Θ(n²) in the pair matrix alone — fine at the bench tables' n,
-    /// fatal at n = 10⁴.
-    Incremental,
-    /// Sparse visibility state: per-robot adjacency lists, a hash-map pair
-    /// store that only materializes computed pairs, and corridor
-    /// registrations placed at a chord-length-matched grid level so each
-    /// pair holds O(1) cells. Answers are event-for-event identical to
-    /// [`WorldMode::Incremental`] (same kernels, same invalidation rule);
-    /// memory is linear in n + computed pairs.
+    /// The cached world (the default): a pair store that only materializes
+    /// computed pairs, per-robot adjacency lists, and corridor
+    /// registrations placed at a chord-length-matched grid level. Memory
+    /// is linear in n + computed pairs.
     Sparse,
     /// Every query recomputes from scratch, exactly like the seed engine.
     /// Used by the determinism suite as the reference behaviour.
     Scratch,
 }
 
-/// One cached visibility entry (for the unordered pair it is indexed by).
+/// One cached visibility entry: the answer for the unordered pair
+/// `{a, b}`. Entries live in an append-only slab ([`PairStore::entries`])
+/// and are never removed, so a slot index names its pair for the life of
+/// the world.
 #[derive(Debug, Clone, Copy)]
 struct PairEntry {
+    a: u32,
+    b: u32,
     seen: bool,
     /// Bumped on every recompute; cell registrations carrying an older
     /// generation are dead.
     gen: u32,
     dirty: bool,
-    /// Sparse store only: the last recompute certified "blocked" through
+    /// The last recompute certified "blocked" through
     /// [`strip_cover_blocked_with_slack`], so the answer provably stays
     /// `false` while **every** robot — both endpoints and every corridor
     /// obstacle — remains within [`CERT_DRIFT_RADIUS`] of its anchor.
     /// Lets the drain *skip* a certified registration for any in-drift
     /// move with a single branch (the flag is copied into the
-    /// registration record, so no pair-store lookup is needed): the
+    /// registration record, so no pair-store read is needed): the
     /// mechanism that makes both a mover's own far-pair row and the
     /// thousands of third-party corridors crossing its cell survive
     /// oscillation with zero per-move work.
@@ -133,107 +135,121 @@ struct PairEntry {
 /// obstacles as well as endpoints.
 const CERT_DRIFT_RADIUS: f64 = COVER_STABILITY_RADIUS / 2.0;
 
-/// One corridor registration: "pair `{a, b}` (entry `idx`, at generation
-/// `gen`) depends on this cell". The endpoints ride along so a drain can
-/// test the mover against the pair's chord without decoding `idx`.
-#[derive(Debug, Clone, Copy)]
-struct PairRef {
-    idx: u32,
-    gen: u32,
-    a: u32,
-    b: u32,
-}
-
-/// A cell's corridor registrations plus its amortized-compaction watermark:
-/// the list is swept for dead entries only when it doubles past its size
-/// after the previous sweep.
-#[derive(Debug, Default)]
-struct CellRegs {
-    refs: Vec<PairRef>,
-    compact_at: usize,
-}
-
 /// Chord lengths up to this many cell edges register at a grid level; a
 /// longer chord moves up one level. Keeps every pair's corridor
 /// registration at O(1) cells regardless of chord length (the memory term
 /// that would otherwise scale with the configuration diameter).
-const SPARSE_REG_SPAN_CELLS: f64 = 8.0;
+const REG_SPAN_CELLS: f64 = 8.0;
 
-/// Packed key of the unordered pair `{a, b}` (`a < b`) in the sparse pair
-/// store.
+/// Packed key of the unordered pair `{a, b}` (`a < b`).
 fn pair_key(a: usize, b: usize) -> u64 {
     debug_assert!(a < b);
     ((a as u64) << 32) | b as u64
 }
 
-/// One corridor registration of the sparse store: pair `{a, b}` at
-/// generation `gen` depends on the registered cell.
+/// One corridor registration: the pair in slab slot `slot`, at generation
+/// `gen`, depends on the registered cell.
 #[derive(Debug, Clone, Copy)]
-struct SparseRef {
-    a: u32,
-    b: u32,
+struct Registration {
+    slot: u32,
     gen: u32,
     /// Copy of [`PairEntry::certified`] at registration time, so the drain
     /// fast path can skip certified registrations without touching the
     /// pair store. A stale copy is harmless: if the pair has since been
-    /// recomputed, this ref is dead (generation mismatch) and skipping it
-    /// merely retains garbage — the *live* registration written by that
-    /// recompute carries the current flag and is the one that matters.
-    /// Stale refs are reaped by the drain's slow path and the amortized
-    /// compaction sweeps.
+    /// recomputed, this registration is dead (generation mismatch) and
+    /// skipping it merely retains garbage — the *live* registration written
+    /// by that recompute carries the current flag and is the one that
+    /// matters. Stale registrations are reaped by the drain's slow path and
+    /// the amortized compaction sweeps.
     certified: bool,
 }
 
-/// A cell's sparse-store registrations plus the amortized-compaction
-/// watermark (same scheme as [`CellRegs`]).
+/// A cell's registrations plus its amortized-compaction watermark: the
+/// list is swept for dead entries only when it doubles past its size after
+/// the previous sweep.
 #[derive(Debug, Default)]
-struct SparseCellRegs {
-    refs: Vec<SparseRef>,
+struct CellRegistrations {
+    regs: Vec<Registration>,
     compact_at: usize,
 }
 
-/// A robot's queue of pairs to recompute at its next row refresh. May hold
-/// stale entries (pairs already recomputed through the partner's row); the
-/// drain skips anything no longer dirty. `compact_at` bounds the queue of
-/// rows that rarely refresh (amortized-compaction watermark).
-#[derive(Debug, Default)]
-struct PendingRow {
-    js: Vec<u32>,
-    compact_at: usize,
-}
-
-/// The sparse visibility state of [`WorldMode::Sparse`]: everything is
-/// sized by what has actually been computed, never by n².
-#[derive(Debug, Default)]
-struct SparseVis {
-    /// Pair entries for every pair computed so far, keyed by [`pair_key`].
-    /// Absent means "never computed" — equivalent to the dense store's
-    /// initial dirty entry.
-    pairs: HashMap<u64, PairEntry, CellHashBuilder>,
-    /// Sorted adjacency: `adj[i]` holds exactly the robots whose pair with
-    /// `i` is stored with `seen == true` (possibly dirty — a row refresh
-    /// recomputes the dirty pairs before the list is read).
-    adj: Vec<Vec<u32>>,
-    /// Per-robot recompute queues, fed by the cell drains.
-    pending: Vec<PendingRow>,
-    /// Whether row `i` has ever been fully computed. A row's first refresh
+/// The per-robot state of the cached world.
+#[derive(Debug)]
+struct Row {
+    /// Sorted adjacency: the robots whose pair with this one is stored
+    /// with `seen == true` (possibly dirty — a row refresh recomputes the
+    /// dirty pairs before the list is read).
+    adj: Vec<u32>,
+    /// Pair slots to recompute at the next row refresh, fed by the cell
+    /// drains. May hold stale entries (pairs already recomputed through
+    /// the partner's row); the refresh skips anything no longer dirty.
+    pending: Vec<u32>,
+    /// Amortized-compaction watermark of `pending`, bounding the queue of
+    /// rows that rarely refresh.
+    pending_compact_at: usize,
+    /// Whether the row has ever been fully computed. A row's first refresh
     /// computes all of its pairs; afterwards only dirtied pairs recompute.
-    row_init: Vec<bool>,
-    /// Corridor registrations per grid level (index = level).
-    regs: Vec<CellMap<SparseCellRegs>>,
+    init: bool,
+    /// Certificate anchor. Invariant outside `move_robot`: the robot is
+    /// within [`CERT_DRIFT_RADIUS`] of it — a move that would break this
+    /// first fails every skip check (dirtying the row as usual) and then
+    /// resets the anchor to the new position.
+    anchor: Point,
 }
 
-/// Queues `j` on a pending row, keeping the queue bounded by the number of
-/// distinct partners: past the watermark the queue is sorted and
-/// deduplicated (stale entries are cheap to carry — the drain skips
+/// The visibility state of the cached world: everything is sized by what
+/// has actually been computed, never by n².
+#[derive(Debug, Default)]
+struct PairStore {
+    /// Slot of every pair computed so far, keyed by [`pair_key`]. Absent
+    /// means "never computed".
+    slots: HashMap<u64, u32, CellHashBuilder>,
+    /// The append-only entry slab [`Self::slots`] indexes into. Cell
+    /// registrations and pending queues carry slot indices, so draining
+    /// and compaction index an array instead of hashing a key.
+    entries: Vec<PairEntry>,
+    /// Per-robot state, indexed by robot.
+    rows: Vec<Row>,
+    /// Corridor registrations per grid level (index = level).
+    regs: [CellMap<CellRegistrations>; GRID_LEVELS],
+}
+
+impl PairStore {
+    /// The slot of the pair `{a, b}`, appending a fresh dirty entry to the
+    /// slab when the pair was never computed.
+    fn slot_or_insert(&mut self, a: usize, b: usize) -> u32 {
+        let entries = &mut self.entries;
+        *self.slots.entry(pair_key(a, b)).or_insert_with(|| {
+            entries.push(PairEntry {
+                a: a as u32,
+                b: b as u32,
+                seen: false,
+                gen: 0,
+                dirty: true,
+                certified: false,
+            });
+            (entries.len() - 1) as u32
+        })
+    }
+
+    /// The stored entry of the pair `{a, b}`, if it was ever computed.
+    fn get(&self, a: usize, b: usize) -> Option<&PairEntry> {
+        let slot = *self.slots.get(&pair_key(a, b))?;
+        Some(&self.entries[slot as usize])
+    }
+}
+
+/// Queues `slot` on a row's pending queue, keeping the queue bounded by the
+/// number of distinct partners: past the watermark the queue is sorted and
+/// deduplicated (stale entries are cheap to carry — the refresh skips
 /// anything no longer dirty — but duplicates must not accumulate without
 /// bound on rows that rarely refresh).
-fn push_pending(row: &mut PendingRow, j: u32) {
-    row.js.push(j);
-    if row.js.len() >= row.compact_at.max(REGISTRATION_COMPACT_LEN) {
-        row.js.sort_unstable();
-        row.js.dedup();
-        row.compact_at = row.js.len() * 2;
+fn push_pending(row: &mut Row, slot: u32) {
+    row.pending.push(slot);
+    if row.pending.len() >= row.pending_compact_at.max(REGISTRATION_COMPACT_LEN) {
+        row.pending.sort_unstable();
+        row.pending.dedup();
+        row.pending_compact_at = row.pending.len() * 2;
     }
 }
 
@@ -252,12 +268,13 @@ fn adj_remove(list: &mut Vec<u32>, v: u32) {
 }
 
 /// One pair visibility answer computed **read-only** by
-/// [`World::compute_pair_answer`], ready to be injected into a commit
-/// ([`World::visible_of_into_with`]). Carrying the answer instead of
+/// [`World::compute_pair_answer`], ready to be committed. Every recompute
+/// is such an answer plus its commit; carrying the answer instead of
 /// recomputing it at commit time is what lets worker threads run the pair
-/// kernels on a shared `&World` while the serial commit replays every piece
-/// of bookkeeping (generation bumps, registrations, view versions,
-/// telemetry) in the original event order.
+/// kernels on a shared `&World` while the serial commit
+/// ([`World::visible_of_into_with`]) replays every piece of bookkeeping
+/// (generation bumps, registrations, view versions, telemetry) in the
+/// original event order.
 #[derive(Debug, Clone, Copy)]
 pub struct PairAnswer {
     /// Lower endpoint of the unordered pair.
@@ -266,9 +283,8 @@ pub struct PairAnswer {
     pub b: usize,
     /// The kernel's visibility verdict for the pair.
     pub seen: bool,
-    /// Sparse store only: the answer was certified "blocked" by the slack
-    /// strip cover (see [`PairEntry::certified`]'s doc on the `World`
-    /// internals).
+    /// The answer was certified "blocked" by the slack strip cover (see
+    /// [`PairEntry::certified`]'s doc on the `World` internals).
     certified: bool,
     /// The answer came from a strip cover (slack or exact) instead of the
     /// witness kernel — replayed into the `cover_answers` telemetry at
@@ -276,9 +292,9 @@ pub struct PairAnswer {
     cover_answered: bool,
 }
 
-/// Per-thread scratch buffers for [`World::compute_pair_answer`] — the
-/// read-only twin of the `World`'s own reusable query buffers, owned by the
-/// caller so concurrent probes never share storage.
+/// Per-thread scratch buffers for [`World::compute_pair_answer`], owned by
+/// the caller so concurrent probes never share storage (the `World` keeps
+/// one for its own serial recomputes).
 #[derive(Debug, Default)]
 pub struct PairProbe {
     cand: Vec<usize>,
@@ -353,22 +369,8 @@ pub struct World {
     grid: UniformGrid,
     /// Configuration version: incremented once per applied move.
     version: u64,
-    /// Triangular pair matrix, indexed by `pair_index`. Allocated only in
-    /// [`WorldMode::Incremental`] (empty otherwise — this Θ(n²) block is
-    /// exactly what [`WorldMode::Sparse`] exists to avoid).
-    pairs: Vec<PairEntry>,
-    /// Corridor registrations per grid cell: the pairs to dirty when the
-    /// cell is touched by a move.
-    cell_pairs: CellMap<CellRegs>,
-    /// Sparse visibility state ([`WorldMode::Sparse`] only; empty
-    /// otherwise).
-    sparse: SparseVis,
-    /// Per-robot certificate anchors ([`WorldMode::Sparse`] only; empty
-    /// otherwise). Invariant outside `move_robot`: every robot is within
-    /// [`CERT_DRIFT_RADIUS`] of its anchor — a move that would break this
-    /// first fails every skip check (dirtying the row as usual) and then
-    /// resets the anchor to the new position.
-    anchors: Vec<Point>,
+    /// Visibility state ([`WorldMode::Sparse`] only; empty otherwise).
+    store: PairStore,
     /// Structure-of-arrays mirror of `centers`, kept in sync by
     /// [`Self::move_robot`]: the batched corridor filter reads coordinates
     /// from flat lanes instead of an array-of-structs.
@@ -409,15 +411,10 @@ pub struct World {
     /// drain visits that skipped dirtying a certified pair.
     cover_answers: u64,
     cert_skips: u64,
-    /// Reusable query buffers.
+    /// Reusable buffers: grid candidates of the validity and connectivity
+    /// scans, and the scratch of the world's own pair recomputes.
     cand_buf: Vec<usize>,
-    obs_buf: Vec<Point>,
-    /// Reusable SoA buffers of the batched corridor filter: candidate
-    /// coordinates gathered into flat lanes, and the surviving lane
-    /// indices.
-    soa_xs: Vec<f64>,
-    soa_ys: Vec<f64>,
-    keep_buf: Vec<u32>,
+    probe: PairProbe,
 }
 
 impl World {
@@ -425,47 +422,28 @@ impl World {
     pub fn new(centers: Vec<Point>, vis: VisibilityConfig, mode: WorldMode) -> Self {
         let n = centers.len();
         let grid = UniformGrid::new(GRID_CELL, &centers);
-        let pairs = if mode == WorldMode::Incremental {
-            vec![
-                PairEntry {
-                    seen: false,
-                    gen: 0,
-                    dirty: true,
-                    certified: false,
-                };
-                n * n.saturating_sub(1) / 2
-            ]
-        } else {
-            Vec::new()
-        };
-        let sparse = if mode == WorldMode::Sparse {
-            SparseVis {
-                pairs: HashMap::default(),
-                adj: vec![Vec::new(); n],
-                pending: (0..n).map(|_| PendingRow::default()).collect(),
-                row_init: vec![false; n],
-                regs: (0..GRID_LEVELS).map(|_| CellMap::default()).collect(),
-            }
-        } else {
-            SparseVis::default()
-        };
+        let mut store = PairStore::default();
+        if mode == WorldMode::Sparse {
+            store.rows = centers
+                .iter()
+                .map(|&anchor| Row {
+                    adj: Vec::new(),
+                    pending: Vec::new(),
+                    pending_compact_at: 0,
+                    init: false,
+                    anchor,
+                })
+                .collect();
+        }
         let xs = centers.iter().map(|c| c.x).collect();
         let ys = centers.iter().map(|c| c.y).collect();
-        let anchors = if mode == WorldMode::Sparse {
-            centers.clone()
-        } else {
-            Vec::new()
-        };
         World {
             mode,
             vis,
             centers,
             grid,
             version: 0,
-            pairs,
-            cell_pairs: CellMap::default(),
-            sparse,
-            anchors,
+            store,
             xs,
             ys,
             hull: ConvexHull::default(),
@@ -484,10 +462,7 @@ impl World {
             cover_answers: 0,
             cert_skips: 0,
             cand_buf: Vec::new(),
-            obs_buf: Vec::new(),
-            soa_xs: Vec::new(),
-            soa_ys: Vec::new(),
-            keep_buf: Vec::new(),
+            probe: PairProbe::default(),
         }
     }
 
@@ -517,7 +492,9 @@ impl World {
     }
 
     /// Cache telemetry: `(hits, misses)` of the pairwise visibility cache.
-    /// Both are 0 in [`WorldMode::Scratch`].
+    /// Every pair a Look or a [`Self::sees`] probe asks about counts once:
+    /// a hit when its stored answer was clean, a miss when it had to be
+    /// (re)computed. Both are 0 in [`WorldMode::Scratch`].
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -529,35 +506,26 @@ impl World {
         (self.hull_repairs, self.hull_rebuilds)
     }
 
-    /// Pair-store telemetry: `(entries, registrations)` — materialized pair
-    /// entries and live corridor registrations. In
-    /// [`WorldMode::Incremental`] the entry count is the full Θ(n²)
-    /// triangle; in [`WorldMode::Sparse`] it is only the pairs actually
-    /// computed, which is what the scale gate's linear-memory assertion
+    /// Pair-store telemetry: `(entries, registrations)` — the pairs
+    /// actually computed so far, and the corridor registrations currently
+    /// held (live or not yet compacted). Linear in n plus the computed
+    /// pairs, which is what the scale gate's linear-memory assertion
     /// watches. Both are 0 in [`WorldMode::Scratch`].
     pub fn pair_store_stats(&self) -> (u64, u64) {
-        match self.mode {
-            WorldMode::Scratch => (0, 0),
-            WorldMode::Incremental => (
-                self.pairs.len() as u64,
-                self.cell_pairs.values().map(|r| r.refs.len() as u64).sum(),
-            ),
-            WorldMode::Sparse => (
-                self.sparse.pairs.len() as u64,
-                self.sparse
-                    .regs
-                    .iter()
-                    .flat_map(CellMap::values)
-                    .map(|r| r.refs.len() as u64)
-                    .sum(),
-            ),
-        }
+        let registrations = self
+            .store
+            .regs
+            .iter()
+            .flat_map(CellMap::values)
+            .map(|c| c.regs.len() as u64)
+            .sum();
+        (self.store.entries.len() as u64, registrations)
     }
 
     /// Blocked-certificate telemetry: `(cover_answers, cert_skips)` —
     /// recomputes answered by a strip cover instead of the witness kernel,
     /// and drain visits that kept a certified pair clean through an
-    /// endpoint move. Both are 0 outside [`WorldMode::Sparse`].
+    /// endpoint move. Both are 0 in [`WorldMode::Scratch`].
     pub fn cert_stats(&self) -> (u64, u64) {
         (self.cover_answers, self.cert_skips)
     }
@@ -581,9 +549,9 @@ impl World {
     }
 
     /// Moves robot `i` to `p`: bumps the configuration version, dirties
-    /// every pair registered on the cell the robot leaves and the cell it
-    /// enters, and rehashes the robot in the grid. Moving a robot to its
-    /// current position is a no-op (nothing can have changed).
+    /// every pair registered on the cells the robot leaves and enters, and
+    /// rehashes the robot in the grid. Moving a robot to its current
+    /// position is a no-op (nothing can have changed).
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
@@ -595,43 +563,35 @@ impl World {
         self.version += 1;
         self.hull_staleness.record_move(i);
         match self.mode {
-            WorldMode::Incremental => {
-                // The mover's own view always changes (its center is part of
-                // it). Every *other* affected view is bumped either by
-                // `dirty_cell` (clean seen pairs being dirtied — the robots
-                // that can watch this move happen) or by the flip check in
-                // `sees` when a dirty pair is recomputed. No O(n) scan
-                // anywhere: moving a robot nobody sees bumps only the mover.
-                self.view_versions[i] += 1;
-                let from = self.grid.cell_of(old);
-                let to = self.grid.cell_of(p);
-                self.dirty_cell(from, i, old, p);
-                if to != from {
-                    self.dirty_cell(to, i, old, p);
-                }
-            }
             WorldMode::Sparse => {
-                // Same invalidation rule, but registrations live at every
-                // grid level (each pair picks the level matching its chord
-                // length), so the move drains its from/to cell at each
-                // level. Coarser cells hold more incidental registrations;
-                // the drain's exact chord-distance test filters them, so
-                // coarseness costs drain time, never correctness.
+                // The mover's own view always changes (its center is part of
+                // it). Every *other* affected view is bumped either by the
+                // drain (clean seen pairs being dirtied — the robots that
+                // can watch this move happen) or by the flip check when a
+                // dirty pair is recomputed. No O(n) scan anywhere: moving a
+                // robot nobody sees bumps only the mover.
                 self.view_versions[i] += 1;
+                // Registrations live at every grid level (each pair picks
+                // the level matching its chord length), so the move drains
+                // its from/to cell at each level. Coarser
+                // cells hold more incidental registrations; the drain's
+                // exact chord-distance test filters them, so coarseness
+                // costs drain time, never correctness.
                 for level in 0..GRID_LEVELS {
                     let from = self.grid.cell_of_at(old, level);
                     let to = self.grid.cell_of_at(p, level);
-                    self.sparse_dirty_cell(level, from, i, old, p);
+                    self.drain_cell(level, from, i, old, p);
                     if to != from {
-                        self.sparse_dirty_cell(level, to, i, old, p);
+                        self.drain_cell(level, to, i, old, p);
                     }
                 }
                 // Anchor maintenance, after the drains: a move beyond the
                 // drift radius has just failed every skip check (dirtying
                 // the mover's certified pairs), so re-anchoring here cannot
                 // strand a certificate issued against the old anchor.
-                if p.distance_sq(self.anchors[i]) > CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS {
-                    self.anchors[i] = p;
+                let anchor = &mut self.store.rows[i].anchor;
+                if p.distance_sq(*anchor) > CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS {
+                    *anchor = p;
                 }
             }
             WorldMode::Scratch => {
@@ -695,40 +655,57 @@ impl World {
         }
     }
 
-    /// Processes a cell's corridor registrations for a move of robot
-    /// `mover` from `old` to `new`: pairs whose answer can actually depend
-    /// on that move — the mover is an endpoint, or its old or new position
-    /// lies within the pruning radius of the pair's chord — are marked
-    /// dirty and dropped; unaffected live registrations are kept (the cell
-    /// cover is conservative, so most drains touch corridors the mover
-    /// never entered). Dead registrations (older generation, or pairs
+    /// Processes one cell's corridor registrations at one grid level for a
+    /// move of robot `mover` from `old` to `new`: pairs whose answer can
+    /// actually depend on that move — the mover is an endpoint, or its old
+    /// or new position lies within the pruning radius of the pair's chord —
+    /// are marked dirty, queued on both endpoints' pending rows (so the
+    /// next row refresh recomputes exactly the dirtied pairs instead of
+    /// probing all n) and dropped; unaffected live registrations are kept
+    /// (the cell cover is conservative, so most drains touch corridors the
+    /// mover never entered). Dead registrations (older generation, or pairs
     /// already dirty) are dropped — a dirty pair re-registers when it is
     /// next recomputed.
-    fn dirty_cell(
-        &mut self,
-        cell: fatrobots_geometry::grid::CellCoord,
-        mover: usize,
-        old: Point,
-        new: Point,
-    ) {
+    fn drain_cell(&mut self, level: usize, cell: CellCoord, mover: usize, old: Point, new: Point) {
         use std::collections::hash_map::Entry;
-        let Entry::Occupied(mut slot) = self.cell_pairs.entry(cell) else {
+        let PairStore {
+            entries,
+            rows,
+            regs,
+            ..
+        } = &mut self.store;
+        let Entry::Occupied(mut occupied) = regs[level].entry(cell) else {
             return;
         };
-        let regs = slot.get_mut();
-        let pairs = &mut self.pairs;
+        let cell_regs = occupied.get_mut();
         let centers = &self.centers;
         let view_versions = &mut self.view_versions;
-        regs.refs.retain(|r| {
-            let entry = &mut pairs[r.idx as usize];
+        let cert_skips = &mut self.cert_skips;
+        let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
+        let drift_sq = CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS;
+        // Hoisted skip predicate: this move keeps the mover within the
+        // drift radius of its anchor. While that holds, every certified
+        // registration — the mover's own pairs *and* third-party corridors
+        // crossing this cell — provably keeps its "blocked" answer (see
+        // [`CERT_DRIFT_RADIUS`]), so the fast path below retains it with
+        // one branch and no pair-store read. A move beyond the radius
+        // makes this `false` for the whole drain, which dirties every
+        // certified pair the mover could affect *before* `move_robot`
+        // resets the anchor.
+        let mover_within_drift = new.distance_sq(rows[mover].anchor) <= drift_sq;
+        cell_regs.regs.retain(|r| {
+            if r.certified && mover_within_drift {
+                *cert_skips += 1;
+                return true;
+            }
+            let entry = &mut entries[r.slot as usize];
             if entry.gen != r.gen || entry.dirty {
                 return false; // dead registration
             }
-            let (a, b) = (r.a as usize, r.b as usize);
+            let (a, b) = (entry.a as usize, entry.b as usize);
             // Squared-distance form of `distance_to(..) <= PRUNE_RADIUS`:
             // exactly equivalent (the radius squares exactly), one sqrt
             // cheaper per drained registration.
-            let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
             let affected = a == mover || b == mover || {
                 let chord = Segment::new(centers[a], centers[b]);
                 chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
@@ -743,108 +720,26 @@ impl World {
                 // moves is always drained at that move, and while the pair
                 // stays dirty no further endpoint move can slip through
                 // unbumped. **Unseen** pairs stay silent — their endpoints'
-                // views can only change if the answer flips, which
-                // `sees` detects (and bumps) at the recompute, always
-                // before any robot stamps a view version off that state.
-                // This is what keeps one move's invalidation at O(deg):
-                // moving a robot nobody sees bumps nobody else.
+                // views can only change if the answer flips, which the
+                // recompute detects (and bumps), always before any robot
+                // stamps a view version off that state. This is what keeps
+                // one move's invalidation at O(deg): moving a robot nobody
+                // sees bumps nobody else.
                 if entry.seen {
                     view_versions[a] += 1;
                     view_versions[b] += 1;
                 }
+                push_pending(&mut rows[a], r.slot);
+                push_pending(&mut rows[b], r.slot);
             }
             !affected
         });
-        if regs.refs.is_empty() {
-            slot.remove();
+        if cell_regs.regs.is_empty() {
+            occupied.remove();
         } else {
             // The drain doubles as a sweep: reset the compaction watermark.
-            regs.compact_at = regs.refs.len() * 2;
+            cell_regs.compact_at = cell_regs.regs.len() * 2;
         }
-    }
-
-    /// [`Self::dirty_cell`] for the sparse store: drains one cell of one
-    /// grid level. The affectedness test is identical (endpoint, or old/new
-    /// position within the pruning radius of the chord); additionally every
-    /// dirtied pair is queued on both endpoints' pending rows so the next
-    /// row refresh recomputes exactly the dirtied pairs instead of probing
-    /// all n.
-    fn sparse_dirty_cell(
-        &mut self,
-        level: usize,
-        cell: CellCoord,
-        mover: usize,
-        old: Point,
-        new: Point,
-    ) {
-        use std::collections::hash_map::Entry;
-        let SparseVis {
-            pairs,
-            pending,
-            regs,
-            ..
-        } = &mut self.sparse;
-        let Entry::Occupied(mut slot) = regs[level].entry(cell) else {
-            return;
-        };
-        let regs = slot.get_mut();
-        let centers = &self.centers;
-        let view_versions = &mut self.view_versions;
-        let cert_skips = &mut self.cert_skips;
-        let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-        let drift_sq = CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS;
-        // Hoisted skip predicate: this move keeps the mover within the
-        // drift radius of its anchor. While that holds, every certified
-        // registration — the mover's own pairs *and* third-party corridors
-        // crossing this cell — provably keeps its "blocked" answer (see
-        // [`CERT_DRIFT_RADIUS`]), so the fast path below retains it with
-        // one branch and no pair-store lookup. A move beyond the radius
-        // makes this `false` for the whole drain, which dirties every
-        // certified pair the mover could affect *before* `move_robot`
-        // resets the anchor.
-        let mover_within_drift = new.distance_sq(self.anchors[mover]) <= drift_sq;
-        regs.refs.retain(|r| {
-            if r.certified && mover_within_drift {
-                *cert_skips += 1;
-                return true;
-            }
-            let (a, b) = (r.a as usize, r.b as usize);
-            let Some(entry) = pairs.get_mut(&pair_key(a, b)) else {
-                return false;
-            };
-            if entry.gen != r.gen || entry.dirty {
-                return false; // dead registration
-            }
-            let affected = a == mover || b == mover || {
-                let chord = Segment::new(centers[a], centers[b]);
-                chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
-            };
-            if affected {
-                entry.dirty = true;
-                // Same view-version rule as the dense drain: a dirtied
-                // *seen* pair bumps both endpoints; unseen pairs wait for
-                // the flip check at the recompute.
-                if entry.seen {
-                    view_versions[a] += 1;
-                    view_versions[b] += 1;
-                }
-                push_pending(&mut pending[a], b as u32);
-                push_pending(&mut pending[b], a as u32);
-            }
-            !affected
-        });
-        if regs.refs.is_empty() {
-            slot.remove();
-        } else {
-            regs.compact_at = regs.refs.len() * 2;
-        }
-    }
-
-    /// Index of the unordered pair `{a, b}` in the triangular matrix.
-    fn pair_index(&self, a: usize, b: usize) -> usize {
-        debug_assert!(a < b && b < self.len());
-        let n = self.len();
-        a * (2 * n - a - 1) / 2 + (b - a - 1)
     }
 
     /// Whether robots `i` and `j` see each other, answered from the cache
@@ -859,136 +754,25 @@ impl World {
             return fatrobots_geometry::visibility::disc_sees_disc(i, j, &self.centers, &self.vis);
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
-        if self.mode == WorldMode::Sparse {
-            if let Some(e) = self.sparse.pairs.get(&pair_key(a, b)) {
-                if !e.dirty {
-                    self.hits += 1;
-                    return e.seen;
-                }
-            }
-            self.misses += 1;
-            return self.sparse_recompute_pair(a, b);
-        }
-        let idx = self.pair_index(a, b);
-        if !self.pairs[idx].dirty {
+        let slot = self.store.slot_or_insert(a, b);
+        let entry = self.store.entries[slot as usize];
+        if !entry.dirty {
             self.hits += 1;
-            return self.pairs[idx].seen;
+            return entry.seen;
         }
         self.misses += 1;
-        {
-            let entry = &mut self.pairs[idx];
-            entry.gen = entry.gen.wrapping_add(1);
-            entry.dirty = false;
-        }
-        let seen = self.recompute_and_register_pair(a, b, idx);
-        if self.pairs[idx].seen != seen {
-            // The visible-set membership flipped: both Look snapshots
-            // change. (Dirtying an unseen pair deliberately does not bump —
-            // this recompute is where a false→true transition is caught,
-            // and it always runs before a view version is stamped off the
-            // new state.)
-            self.view_versions[a] += 1;
-            self.view_versions[b] += 1;
-        }
-        self.pairs[idx].seen = seen;
-        seen
-    }
-
-    /// Recomputes one pair and re-registers it, in a single walk over the
-    /// corridor's conservative cell cover: each visited cell receives the
-    /// pair's registration and contributes its sites to the obstacle
-    /// slice. The exact post-filter trims the cover's slop — the kernel's
-    /// answer only depends on centers within [`VISIBILITY_PRUNE_RADIUS`] of
-    /// the chord, which `disc_sees_disc_among` documents as sufficient for
-    /// an answer identical to the exhaustive test (and makes the slice
-    /// order irrelevant: the kernel returns a boolean, not a witness).
-    fn recompute_and_register_pair(&mut self, a: usize, b: usize, idx: usize) -> bool {
-        let (ca, cb) = (self.centers[a], self.centers[b]);
-        let gen = self.pairs[idx].gen;
-        let pair_ref = PairRef {
-            idx: idx as u32,
-            gen,
-            a: a as u32,
-            b: b as u32,
-        };
-        let chord = Segment::new(ca, cb);
-        let mut obs = std::mem::take(&mut self.obs_buf);
-        obs.clear();
-        {
-            let pairs = &self.pairs;
-            let cell_pairs = &mut self.cell_pairs;
-            let grid = &self.grid;
-            let centers = &self.centers;
-            grid.for_each_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                let regs = cell_pairs.entry(cell).or_default();
-                if regs.refs.len() >= regs.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                    regs.refs.retain(|r| {
-                        let e = &pairs[r.idx as usize];
-                        e.gen == r.gen && !e.dirty
-                    });
-                    regs.compact_at = regs.refs.len() * 2;
-                }
-                regs.refs.push(pair_ref);
-                if let Some(sites) = grid.sites_in(cell) {
-                    // Squared-distance form of the `<= PRUNE_RADIUS` trim:
-                    // exactly equivalent, and this filter runs per site of
-                    // every cover cell of every recompute.
-                    let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-                    obs.extend(
-                        sites
-                            .iter()
-                            .filter(|&&k| k != a && k != b)
-                            .map(|&k| centers[k])
-                            .filter(|&c| chord.distance_sq_to(c) <= prune_sq),
-                    );
-                }
-                true
-            });
-        }
-        let seen = disc_sees_disc_among(ca, cb, &obs, &self.vis);
-        self.obs_buf = obs;
-        seen
-    }
-
-    /// The registration half of [`Self::recompute_and_register_pair`]: the
-    /// identical cell walk (including the amortized compaction sweeps) with
-    /// the obstacle gathering skipped — used when the pair's answer was
-    /// already computed read-only and is being committed by injection.
-    fn register_pair_dense(&mut self, a: usize, b: usize, idx: usize) {
-        let (ca, cb) = (self.centers[a], self.centers[b]);
-        let gen = self.pairs[idx].gen;
-        let pair_ref = PairRef {
-            idx: idx as u32,
-            gen,
-            a: a as u32,
-            b: b as u32,
-        };
-        let pairs = &self.pairs;
-        let cell_pairs = &mut self.cell_pairs;
-        self.grid
-            .for_each_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                let regs = cell_pairs.entry(cell).or_default();
-                if regs.refs.len() >= regs.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                    regs.refs.retain(|r| {
-                        let e = &pairs[r.idx as usize];
-                        e.gen == r.gen && !e.dirty
-                    });
-                    regs.compact_at = regs.refs.len() * 2;
-                }
-                regs.refs.push(pair_ref);
-                true
-            });
+        self.recompute_slot(slot, None)
     }
 
     /// The grid level a pair registers its corridor at: the finest level
     /// whose cells are large enough that the chord's cover holds O(1) of
-    /// them ([`SPARSE_REG_SPAN_CELLS`]). Long chords land on the coarsest
-    /// level, whose cover is a handful of cells even across the whole
+    /// them ([`REG_SPAN_CELLS`]). Long chords land on the coarsest level,
+    /// whose cover is a handful of cells even across the whole
     /// configuration.
-    fn sparse_reg_level(&self, ca: Point, cb: Point) -> usize {
+    fn reg_level(&self, ca: Point, cb: Point) -> usize {
         let chord = ca.distance(cb);
         for level in 0..GRID_LEVELS {
-            if chord <= self.grid.cell_size_at(level) * SPARSE_REG_SPAN_CELLS {
+            if chord <= self.grid.cell_size_at(level) * REG_SPAN_CELLS {
                 return level;
             }
         }
@@ -996,13 +780,19 @@ impl World {
     }
 
     /// Computes one pair's visibility answer **without mutating anything**:
-    /// the same candidate walk, SoA corridor filter, strip covers and
-    /// witness kernel as the committing recompute, on caller-owned scratch.
-    /// Safe to call from worker threads on a shared `&World` — the commit
-    /// that later injects the result replays all bookkeeping serially and
-    /// lands in exactly the state a serial recompute would have produced
-    /// (no robot moves between the probe and its commit, so the inputs are
-    /// frozen).
+    /// candidate obstacles from the occupancy-pruned corridor walk, trimmed
+    /// by the batched SoA corridor filter, then the strip covers and the
+    /// witness kernel, on caller-owned scratch. Safe to call from worker
+    /// threads on a shared `&World` — the commit that later injects the
+    /// result replays all bookkeeping serially and lands in exactly the
+    /// state a serial recompute would have produced (no robot moves
+    /// between the probe and its commit, so the inputs are frozen).
+    ///
+    /// The filter accepts a superset of the centers within
+    /// [`VISIBILITY_PRUNE_RADIUS`] of the chord, which is all
+    /// `disc_sees_disc_among` needs for the exhaustive answer (and makes
+    /// the slice order irrelevant: the kernel returns a boolean, not a
+    /// witness).
     ///
     /// # Panics
     /// Panics if `a >= b`, either index is out of bounds, or the world is
@@ -1014,37 +804,9 @@ impl World {
             "scratch mode has no pair store"
         );
         let (ca, cb) = (self.centers[a], self.centers[b]);
-        if self.mode == WorldMode::Incremental {
-            // Same cells, same sites, same order and same trim as the
-            // gathering half of `recompute_and_register_pair`.
-            let chord = Segment::new(ca, cb);
-            let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-            probe.obs.clear();
-            let grid = &self.grid;
-            let centers = &self.centers;
-            let obs = &mut probe.obs;
-            grid.for_each_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                if let Some(sites) = grid.sites_in(cell) {
-                    obs.extend(
-                        sites
-                            .iter()
-                            .filter(|&&k| k != a && k != b)
-                            .map(|&k| centers[k])
-                            .filter(|&c| chord.distance_sq_to(c) <= prune_sq),
-                    );
-                }
-                true
-            });
-            let seen = disc_sees_disc_among(ca, cb, &probe.obs, &self.vis);
-            return PairAnswer {
-                a,
-                b,
-                seen,
-                certified: false,
-                cover_answered: false,
-            };
-        }
-        // Sparse: the gathering half of `sparse_recompute_pair`, verbatim.
+        // Candidate obstacles: sites of the occupied base cells of the
+        // corridor cover (the pruned walk surfaces exactly the sites the
+        // flat walk would).
         probe.cand.clear();
         {
             let grid = &self.grid;
@@ -1080,17 +842,17 @@ impl World {
                 .map(|&l| Point::new(sx[l as usize], sy[l as usize])),
         );
         let obs = &probe.obs;
-        let mut certified = false;
-        let mut cover_answered = false;
-        let seen = if strip_cover_blocked_with_slack(ca, cb, obs) {
-            certified = true;
-            cover_answered = true;
-            false
+        // Two-tier blocked fast path before the O(k²) witness kernel. The
+        // slack cover additionally certifies the answer against drift (see
+        // [`PairEntry::certified`]); the exact cover only answers this
+        // recompute. Both are one-sided — `false` falls through to the
+        // kernel — so the answer is always the kernel's.
+        let (seen, certified, cover_answered) = if strip_cover_blocked_with_slack(ca, cb, obs) {
+            (false, true, true)
         } else if strip_cover_blocked(ca, cb, obs) {
-            cover_answered = true;
-            false
+            (false, false, true)
         } else {
-            disc_sees_disc_among(ca, cb, obs, &self.vis)
+            (disc_sees_disc_among(ca, cb, obs, &self.vis), false, false)
         };
         PairAnswer {
             a,
@@ -1101,224 +863,144 @@ impl World {
         }
     }
 
-    /// Recomputes one pair of the sparse store and re-registers its
-    /// corridor. Same contract as [`Self::recompute_and_register_pair`]
-    /// (and the same kernel, so the answer is bit-identical); the obstacle
-    /// slice is gathered through the occupancy-pruned hierarchical walk and
-    /// trimmed by the batched SoA corridor filter instead of a per-site
-    /// scalar filter. Both filters accept a superset of the centers within
-    /// [`VISIBILITY_PRUNE_RADIUS`] of the chord, which is all
-    /// `disc_sees_disc_among` needs for the exhaustive answer.
-    fn sparse_recompute_pair(&mut self, a: usize, b: usize) -> bool {
-        self.sparse_recompute_pair_with(a, b, None)
-    }
-
-    /// [`Self::sparse_recompute_pair`], optionally short-circuiting the
-    /// gather-and-kernel half with a precomputed [`PairAnswer`]. Every
-    /// side effect — generation bump, dirty clear, cover telemetry, view
-    /// versions, adjacency, registration — runs here either way, so an
-    /// injected answer leaves the world in exactly the state a serial
-    /// recompute would.
-    fn sparse_recompute_pair_with(
-        &mut self,
-        a: usize,
-        b: usize,
-        answer: Option<&PairAnswer>,
-    ) -> bool {
-        let (ca, cb) = (self.centers[a], self.centers[b]);
-        let level = self.sparse_reg_level(ca, cb);
-        let entry = self
-            .sparse
-            .pairs
-            .entry(pair_key(a, b))
-            .or_insert(PairEntry {
-                seen: false,
-                gen: 0,
-                dirty: true,
-                certified: false,
-            });
+    /// Recomputes the pair in `slot` and re-registers its corridor: the
+    /// answer is taken from `answer` when one was precomputed
+    /// ([`Self::compute_pair_answer`] on another thread) and computed here
+    /// otherwise. Every side effect — generation bump, dirty clear, cover
+    /// telemetry, view versions, adjacency, registration — runs here
+    /// either way, so an injected answer leaves the world in exactly the
+    /// state a serial recompute would.
+    fn recompute_slot(&mut self, slot: u32, answer: Option<&PairAnswer>) -> bool {
+        let PairEntry { a, b, .. } = self.store.entries[slot as usize];
+        let (a, b) = (a as usize, b as usize);
+        let ans = match answer {
+            Some(ans) => {
+                debug_assert!(ans.a == a && ans.b == b, "answer injected for wrong pair");
+                *ans
+            }
+            None => {
+                let mut probe = std::mem::take(&mut self.probe);
+                let ans = self.compute_pair_answer(a, b, &mut probe);
+                self.probe = probe;
+                ans
+            }
+        };
+        if ans.cover_answered {
+            self.cover_answers += 1;
+        }
+        let entry = &mut self.store.entries[slot as usize];
         entry.gen = entry.gen.wrapping_add(1);
         entry.dirty = false;
-        let old_seen = entry.seen;
+        entry.certified = ans.certified;
         let gen = entry.gen;
-        let (seen, certified) = if let Some(ans) = answer {
-            debug_assert!(ans.a == a && ans.b == b, "answer injected for wrong pair");
-            if ans.cover_answered {
-                self.cover_answers += 1;
-            }
-            (ans.seen, ans.certified)
-        } else {
-            // Candidate obstacles: sites of the occupied base cells of the
-            // corridor cover (the pruned walk surfaces exactly the sites the
-            // flat walk would).
-            let mut cand = std::mem::take(&mut self.cand_buf);
-            cand.clear();
-            {
-                let grid = &self.grid;
-                grid.for_each_occupied_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                    if let Some(sites) = grid.sites_in(cell) {
-                        cand.extend(sites.iter().copied().filter(|&k| k != a && k != b));
-                    }
-                    true
-                });
-            }
-            let mut sx = std::mem::take(&mut self.soa_xs);
-            let mut sy = std::mem::take(&mut self.soa_ys);
-            sx.clear();
-            sy.clear();
-            for &k in &cand {
-                sx.push(self.xs[k]);
-                sy.push(self.ys[k]);
-            }
-            let mut keep = std::mem::take(&mut self.keep_buf);
-            keep.clear();
-            corridor_filter_soa(ca, cb, VISIBILITY_PRUNE_RADIUS, &sx, &sy, &mut keep);
-            let mut obs = std::mem::take(&mut self.obs_buf);
-            obs.clear();
-            obs.extend(
-                keep.iter()
-                    .map(|&l| Point::new(sx[l as usize], sy[l as usize])),
-            );
-            // Two-tier blocked fast path before the O(k²) witness kernel.
-            // The slack cover additionally certifies the answer against
-            // endpoint drift (see [`PairEntry::certified`]); the exact
-            // cover only answers this recompute. Both are one-sided —
-            // `false` falls through to the kernel — so the answer is
-            // always the kernel's.
-            let mut certified = false;
-            let seen = if strip_cover_blocked_with_slack(ca, cb, &obs) {
-                certified = true;
-                self.cover_answers += 1;
-                false
-            } else if strip_cover_blocked(ca, cb, &obs) {
-                self.cover_answers += 1;
-                false
-            } else {
-                disc_sees_disc_among(ca, cb, &obs, &self.vis)
-            };
-            self.cand_buf = cand;
-            self.soa_xs = sx;
-            self.soa_ys = sy;
-            self.keep_buf = keep;
-            self.obs_buf = obs;
-            (seen, certified)
-        };
-        if old_seen != seen {
-            // Flip: both Look snapshots change (identical rule to the dense
-            // path — a fresh entry starts unseen, so a first computation
-            // that lands on `true` bumps, exactly like the dense matrix's
-            // initial dirty entries).
+        if entry.seen != ans.seen {
+            // Flip: both Look snapshots change. (Dirtying an unseen pair
+            // deliberately does not bump — this recompute is where a
+            // false→true transition is caught, and it always runs before a
+            // view version is stamped off the new state. A fresh entry
+            // starts unseen, so a first computation that lands on `true`
+            // bumps too.)
+            entry.seen = ans.seen;
             self.view_versions[a] += 1;
             self.view_versions[b] += 1;
-            if seen {
-                adj_insert(&mut self.sparse.adj[a], b as u32);
-                adj_insert(&mut self.sparse.adj[b], a as u32);
+            let rows = &mut self.store.rows;
+            if ans.seen {
+                adj_insert(&mut rows[a].adj, b as u32);
+                adj_insert(&mut rows[b].adj, a as u32);
             } else {
-                adj_remove(&mut self.sparse.adj[a], b as u32);
-                adj_remove(&mut self.sparse.adj[b], a as u32);
+                adj_remove(&mut rows[a].adj, b as u32);
+                adj_remove(&mut rows[b].adj, a as u32);
             }
         }
-        let entry = self
-            .sparse
-            .pairs
-            .get_mut(&pair_key(a, b))
-            .expect("entry was just inserted");
-        entry.seen = seen;
-        entry.certified = certified;
         // Register on the chosen level's conservative cover, carrying the
         // just-computed certified flag so drains can honor it without a
-        // pair-store lookup. The *registration* walk must not skip empty
+        // pair-store read. The *registration* walk must not skip empty
         // cells: a future mover can enter one.
-        let sref = SparseRef {
-            a: a as u32,
-            b: b as u32,
+        let (ca, cb) = (self.centers[a], self.centers[b]);
+        let level = self.reg_level(ca, cb);
+        let reg = Registration {
+            slot,
             gen,
-            certified,
+            certified: ans.certified,
         };
-        {
-            let SparseVis { pairs, regs, .. } = &mut self.sparse;
-            let pairs = &*pairs;
-            let level_regs = &mut regs[level];
-            self.grid.for_each_cell_near_segment_at(
-                level,
-                ca,
-                cb,
-                VISIBILITY_PRUNE_RADIUS,
-                |cell| {
-                    let slot = level_regs.entry(cell).or_default();
-                    if slot.refs.len() >= slot.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                        slot.refs.retain(|r| {
-                            pairs
-                                .get(&pair_key(r.a as usize, r.b as usize))
-                                .is_some_and(|e| e.gen == r.gen && !e.dirty)
-                        });
-                        slot.compact_at = slot.refs.len() * 2;
-                    }
-                    slot.refs.push(sref);
-                    true
-                },
-            );
-        }
-        seen
+        let PairStore { entries, regs, .. } = &mut self.store;
+        let level_regs = &mut regs[level];
+        self.grid
+            .for_each_cell_near_segment_at(level, ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
+                let cell_regs = level_regs.entry(cell).or_default();
+                if cell_regs.regs.len() >= cell_regs.compact_at.max(REGISTRATION_COMPACT_LEN) {
+                    cell_regs.regs.retain(|r| {
+                        let e = &entries[r.slot as usize];
+                        e.gen == r.gen && !e.dirty
+                    });
+                    cell_regs.compact_at = cell_regs.regs.len() * 2;
+                }
+                cell_regs.regs.push(reg);
+                true
+            });
+        ans.seen
     }
 
-    /// Brings every pair of row `i` up to date in the sparse store, so that
-    /// `adj[i]` *is* the visible set. A row's first refresh computes all of
-    /// its pairs (the unavoidable O(n) the dense matrix pays eagerly at
-    /// construction); afterwards only the pairs queued dirty by the cell
-    /// drains recompute — the output-sensitive steady state.
+    /// Brings every pair of row `i` up to date, so that its adjacency list
+    /// *is* the visible set. A row's first refresh computes all of its
+    /// pairs (the unavoidable O(n)); afterwards only the pairs queued dirty
+    /// by the cell drains recompute — the output-sensitive steady state.
+    /// Either way every pair of the row counts once in the hit/miss
+    /// telemetry.
     ///
     /// Each recompute is answered from the injected [`PairAnswers`] when
     /// present (serially recomputed otherwise). The drain order, the
     /// hit/miss telemetry and every state transition are identical either
     /// way.
-    fn sparse_refresh_row_with(&mut self, i: usize, answers: Option<&PairAnswers>) {
-        if !self.sparse.row_init[i] {
-            for j in 0..self.len() {
+    fn refresh_row_with(&mut self, i: usize, answers: Option<&PairAnswers>) {
+        let n = self.len();
+        if !self.store.rows[i].init {
+            for j in 0..n {
                 if j == i {
                     continue;
                 }
                 let (a, b) = if i < j { (i, j) } else { (j, i) };
-                match self.sparse.pairs.get(&pair_key(a, b)) {
-                    Some(e) if !e.dirty => self.hits += 1,
-                    _ => {
-                        self.misses += 1;
-                        let ans = answers.and_then(|s| s.get(a, b));
-                        self.sparse_recompute_pair_with(a, b, ans);
-                    }
+                let slot = self.store.slot_or_insert(a, b);
+                if self.store.entries[slot as usize].dirty {
+                    self.misses += 1;
+                    self.recompute_slot(slot, answers.and_then(|s| s.get(a, b)));
+                } else {
+                    self.hits += 1;
                 }
             }
-            self.sparse.row_init[i] = true;
-            self.sparse.pending[i] = PendingRow::default();
+            let row = &mut self.store.rows[i];
+            row.init = true;
+            row.pending = Vec::new();
+            row.pending_compact_at = 0;
             return;
         }
-        let mut js = std::mem::take(&mut self.sparse.pending[i].js);
-        js.sort_unstable();
-        js.dedup();
-        for &j in &js {
-            let j = j as usize;
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
+        let mut slots = std::mem::take(&mut self.store.rows[i].pending);
+        slots.sort_unstable();
+        slots.dedup();
+        let mut recomputed = 0;
+        for &slot in &slots {
             // Stale queue entries (already recomputed through the partner's
             // row or a direct `sees` probe) are skipped by the dirty check.
-            if self
-                .sparse
-                .pairs
-                .get(&pair_key(a, b))
-                .is_some_and(|e| e.dirty)
-            {
-                self.misses += 1;
-                let ans = answers.and_then(|s| s.get(a, b));
-                self.sparse_recompute_pair_with(a, b, ans);
+            let entry = self.store.entries[slot as usize];
+            if entry.dirty {
+                recomputed += 1;
+                let ans = answers.and_then(|s| s.get(entry.a as usize, entry.b as usize));
+                self.recompute_slot(slot, ans);
             }
         }
-        js.clear();
-        self.sparse.pending[i].js = js;
-        self.sparse.pending[i].compact_at = 0;
+        // Every dirty pair of an initialized row is queued, so the rest of
+        // the row was answered from the cache.
+        self.misses += recomputed;
+        self.hits += (n - 1) as u64 - recomputed;
+        slots.clear();
+        let row = &mut self.store.rows[i];
+        row.pending = slots;
+        row.pending_compact_at = 0;
     }
 
     /// The pairs the next [`Self::visible_of_into`] for robot `i` would
-    /// recompute, **right now** (read-only; appended to `out` as sorted
-    /// `(a, b)` endpoint pairs, deduplicated). This is the commutation
+    /// recompute, **right now** (read-only; appended to `out` as `(a, b)`
+    /// endpoint pairs with `a < b`, deduplicated). This is the commutation
     /// interface of the parallel executor: two Looks whose plans share no
     /// pair recompute disjoint pair sets, so their kernel work can run
     /// concurrently and commit in either order with identical results —
@@ -1332,50 +1014,30 @@ impl World {
     /// Panics if `i` is out of bounds.
     pub fn look_plan(&self, i: usize, out: &mut Vec<(usize, usize)>) {
         assert!(i < self.len(), "robot index out of bounds");
-        match self.mode {
-            WorldMode::Scratch => {}
-            WorldMode::Incremental => {
-                for j in 0..self.len() {
-                    if j == i {
-                        continue;
-                    }
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    if self.pairs[self.pair_index(a, b)].dirty {
-                        out.push((a, b));
-                    }
+        if self.mode == WorldMode::Scratch {
+            return;
+        }
+        if !self.store.rows[i].init {
+            for j in 0..self.len() {
+                if j == i {
+                    continue;
+                }
+                let (a, b) = if i < j { (i, j) } else { (j, i) };
+                match self.store.get(a, b) {
+                    Some(e) if !e.dirty => {}
+                    _ => out.push((a, b)),
                 }
             }
-            WorldMode::Sparse => {
-                if !self.sparse.row_init[i] {
-                    for j in 0..self.len() {
-                        if j == i {
-                            continue;
-                        }
-                        let (a, b) = if i < j { (i, j) } else { (j, i) };
-                        match self.sparse.pairs.get(&pair_key(a, b)) {
-                            Some(e) if !e.dirty => {}
-                            _ => out.push((a, b)),
-                        }
-                    }
-                } else {
-                    // Mirror the refresh's drain: sorted, deduplicated,
-                    // dirty-only.
-                    let mut js: Vec<u32> = self.sparse.pending[i].js.clone();
-                    js.sort_unstable();
-                    js.dedup();
-                    for &j in &js {
-                        let j = j as usize;
-                        let (a, b) = if i < j { (i, j) } else { (j, i) };
-                        if self
-                            .sparse
-                            .pairs
-                            .get(&pair_key(a, b))
-                            .is_some_and(|e| e.dirty)
-                        {
-                            out.push((a, b));
-                        }
-                    }
-                }
+            return;
+        }
+        // Mirror the refresh's drain: sorted, deduplicated, dirty-only.
+        let mut slots = self.store.rows[i].pending.clone();
+        slots.sort_unstable();
+        slots.dedup();
+        for &slot in &slots {
+            let e = &self.store.entries[slot as usize];
+            if e.dirty {
+                out.push((e.a as usize, e.b as usize));
             }
         }
     }
@@ -1423,51 +1085,10 @@ impl World {
             out.extend(visible_set(i, &self.centers, &self.vis));
             return;
         }
-        if self.mode == WorldMode::Sparse {
-            // Refresh recomputes exactly the dirty pairs of row `i`; the
-            // sorted adjacency list then *is* the ascending visible set.
-            self.sparse_refresh_row_with(i, answers);
-            out.extend(self.sparse.adj[i].iter().map(|&j| j as usize));
-            return;
-        }
-        for j in 0..self.len() {
-            if j == i {
-                continue;
-            }
-            // Inlined `sees(i, j)` with the recompute optionally answered
-            // by injection: same counters, same generation bump, same flip
-            // rule, same registration walk.
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
-            let idx = self.pair_index(a, b);
-            let seen = if !self.pairs[idx].dirty {
-                self.hits += 1;
-                self.pairs[idx].seen
-            } else {
-                self.misses += 1;
-                {
-                    let entry = &mut self.pairs[idx];
-                    entry.gen = entry.gen.wrapping_add(1);
-                    entry.dirty = false;
-                }
-                let seen = match answers.and_then(|s| s.get(a, b)) {
-                    Some(ans) => {
-                        debug_assert!(ans.a == a && ans.b == b);
-                        self.register_pair_dense(a, b, idx);
-                        ans.seen
-                    }
-                    None => self.recompute_and_register_pair(a, b, idx),
-                };
-                if self.pairs[idx].seen != seen {
-                    self.view_versions[a] += 1;
-                    self.view_versions[b] += 1;
-                }
-                self.pairs[idx].seen = seen;
-                seen
-            };
-            if seen {
-                out.push(j);
-            }
-        }
+        // The refresh recomputes exactly the dirty pairs of row `i`; the
+        // sorted adjacency list then *is* the ascending visible set.
+        self.refresh_row_with(i, answers);
+        out.extend(self.store.rows[i].adj.iter().map(|&j| j as usize));
     }
 
     /// Brings the hull cache up to date when stale and returns the
@@ -1523,7 +1144,7 @@ impl World {
     }
 
     /// `true` when no two discs overlap beyond the touch tolerance.
-    /// Grid-local in incremental mode (overlap is a contact-radius
+    /// Grid-local in the cached world (overlap is a contact-radius
     /// relation), identical in outcome to the global minimum-gap test.
     pub fn is_valid(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
@@ -1723,12 +1344,12 @@ mod tests {
         Point::new(x, y)
     }
 
-    fn world(centers: Vec<Point>, mode: WorldMode) -> World {
-        World::new(centers, VisibilityConfig::default(), mode)
+    fn world(centers: Vec<Point>) -> World {
+        World::new(centers, VisibilityConfig::default(), WorldMode::Sparse)
     }
 
-    /// Every derived answer of an incremental world must equal the
-    /// from-scratch answer on the same centers.
+    /// Every derived answer of a cached world must equal the from-scratch
+    /// answer on the same centers.
     fn assert_matches_scratch(w: &mut World) {
         let centers = w.centers().to_vec();
         let vis = VisibilityConfig::default();
@@ -1751,25 +1372,19 @@ mod tests {
 
     #[test]
     fn fresh_world_matches_scratch_everywhere() {
-        let mut w = world(
-            vec![
-                p(0.0, 0.0),
-                p(3.0, 0.5),
-                p(6.0, -0.5),
-                p(2.0, 4.0),
-                p(5.0, 3.0),
-            ],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![
+            p(0.0, 0.0),
+            p(3.0, 0.5),
+            p(6.0, -0.5),
+            p(2.0, 4.0),
+            p(5.0, 3.0),
+        ]);
         assert_matches_scratch(&mut w);
     }
 
     #[test]
     fn moves_invalidate_exactly_what_they_must() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)]);
         assert_matches_scratch(&mut w);
         // Slide the middle robot off the 0–2 corridor: 0 and 2 regain sight.
         w.move_robot(1, p(10.0, 5.0));
@@ -1779,14 +1394,41 @@ mod tests {
         w.move_robot(1, p(10.0, 0.0));
         assert_matches_scratch(&mut w);
         assert!(!w.sees(0, 2));
+        w.move_robot(3, p(9.0, 11.0));
+        w.move_robot(0, p(1.0, 0.5));
+        assert_matches_scratch(&mut w);
+    }
+
+    #[test]
+    fn scripted_moves_match_scratch_after_every_move() {
+        let mut w = world(vec![
+            p(0.0, 0.0),
+            p(10.0, 0.0),
+            p(20.0, 0.0),
+            p(10.0, 12.0),
+            p(5.0, 30.0),
+        ]);
+        for (m, to) in [
+            (1, p(10.0, 5.0)),
+            (4, p(5.0, 1.0)),
+            (3, p(10.0, 0.5)),
+            (1, p(10.0, 0.0)),
+            (0, p(0.0, 1.0)),
+            (4, p(5.0, 30.0)),
+        ] {
+            w.move_robot(m, to);
+            assert_matches_scratch(&mut w);
+        }
     }
 
     #[test]
     fn unrelated_pairs_hit_the_cache_after_a_move() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(6.0, 0.0), p(100.0, 100.0), p(106.0, 100.0)],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![
+            p(0.0, 0.0),
+            p(6.0, 0.0),
+            p(100.0, 100.0),
+            p(106.0, 100.0),
+        ]);
         // Warm every pair.
         for i in 0..4 {
             let _ = w.visible_of(i);
@@ -1808,23 +1450,41 @@ mod tests {
     }
 
     #[test]
+    fn every_pair_of_a_look_counts_once_in_the_telemetry() {
+        let mut w = world(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)]);
+        let mut total = 0;
+        for (m, to) in [(1, p(10.0, 5.0)), (3, p(10.0, 0.5)), (1, p(10.0, 0.0))] {
+            for i in 0..w.len() {
+                let _ = w.visible_of(i);
+                total += w.len() as u64 - 1;
+                let (hits, misses) = w.cache_stats();
+                assert_eq!(hits + misses, total, "Look of robot {i}");
+            }
+            w.move_robot(m, to);
+        }
+        assert!(w.cache_stats().1 > 0, "the moves must force recomputes");
+    }
+
+    #[test]
     fn scratch_mode_reports_no_cache_traffic() {
-        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Scratch);
+        let mut w = World::new(
+            vec![p(0.0, 0.0), p(5.0, 0.0)],
+            VisibilityConfig::default(),
+            WorldMode::Scratch,
+        );
         assert!(w.sees(0, 1));
         let _ = w.visible_of(0);
         let _ = w.hull();
         assert_eq!(w.cache_stats(), (0, 0));
         assert_eq!(w.hull_repair_stats(), (0, 0));
+        assert_eq!(w.pair_store_stats(), (0, 0));
     }
 
     #[test]
     fn view_versions_bump_only_for_affected_robots() {
         // A line of robots: each sees only its neighbours (the middle
         // discs occlude the far ones).
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(30.0, 0.0)],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(30.0, 0.0)]);
         // Clean every pair (the state right after everybody Looked).
         for i in 0..4 {
             assert_eq!(w.visible_of(i).len(), if i == 0 || i == 3 { 1 } else { 2 });
@@ -1867,10 +1527,7 @@ mod tests {
         // already bumps it; the flip rule is what carries configurations
         // where the occluder is itself invisible — pinned by the proptests
         // against arbitrary scripts.)
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
         let vis0 = w.visible_of(0);
         assert_eq!(vis0, vec![1]);
         let v0 = w.view_version(0);
@@ -1885,10 +1542,7 @@ mod tests {
 
     #[test]
     fn unchanged_view_version_guarantees_identical_visible_set() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)]);
         let mut seen: Vec<(u64, Vec<usize>)> = (0..4)
             .map(|i| {
                 let vis = w.visible_of(i);
@@ -1921,16 +1575,13 @@ mod tests {
 
     #[test]
     fn hull_refresh_repairs_single_movers_and_rebuilds_otherwise() {
-        let mut w = world(
-            vec![
-                p(0.0, 0.0),
-                p(20.0, 0.0),
-                p(20.0, 20.0),
-                p(0.0, 20.0),
-                p(10.0, 10.0),
-            ],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![
+            p(0.0, 0.0),
+            p(20.0, 0.0),
+            p(20.0, 20.0),
+            p(0.0, 20.0),
+            p(10.0, 10.0),
+        ]);
         let _ = w.hull(); // cold: full build
         assert_eq!(w.hull_repair_stats(), (0, 1));
         // One mover (even over several moves) is repaired in place.
@@ -1955,7 +1606,7 @@ mod tests {
 
     #[test]
     fn move_to_same_position_is_a_noop() {
-        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Incremental);
+        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)]);
         let _ = w.visible_of(0);
         let (_, misses) = w.cache_stats();
         w.move_robot(0, p(0.0, 0.0));
@@ -1967,7 +1618,8 @@ mod tests {
 
     #[test]
     fn single_robot_world_is_trivially_fine() {
-        let mut w = world(vec![p(1.0, 1.0)], WorldMode::Incremental);
+        let mut w = world(vec![p(1.0, 1.0)]);
+        assert!(w.visible_of(0).is_empty());
         assert!(w.visible_of(0).is_empty());
         assert!(w.is_valid());
         assert!(w.is_connected());
@@ -1976,7 +1628,7 @@ mod tests {
 
     #[test]
     fn overlap_is_detected_incrementally() {
-        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Incremental);
+        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)]);
         assert!(w.is_valid());
         w.move_robot(1, p(1.0, 0.0));
         assert!(!w.is_valid());
@@ -1988,10 +1640,7 @@ mod tests {
         // Robot 2 jumps from far away straight onto the 0–1 corridor: the
         // pair (0, 1) was computed with an empty corridor, and the only
         // cells that see the move are the jump's endpoints.
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 50.0)],
-            WorldMode::Incremental,
-        );
+        let mut w = world(vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 50.0)]);
         assert!(w.sees(0, 1));
         w.move_robot(2, p(5.0, 0.0));
         assert!(!w.sees(0, 1), "the newcomer must block the sight line");
@@ -2003,103 +1652,12 @@ mod tests {
     }
 
     #[test]
-    fn repeated_recomputation_does_not_leak_registrations() {
-        // Oscillate one robot through a corridor many times; the far cells
-        // of the corridor accumulate registrations that the compaction
-        // bound must keep finite.
-        let mut w = world(
-            vec![p(0.0, 0.0), p(40.0, 0.0), p(20.0, 3.0)],
-            WorldMode::Incremental,
-        );
-        for k in 0..500 {
-            let y = if k % 2 == 0 { 0.0 } else { 3.0 };
-            w.move_robot(2, p(20.0, y));
-            let _ = w.visible_of(0);
-        }
-        let worst = w
-            .cell_pairs
-            .values()
-            .map(|r| r.refs.len())
-            .max()
-            .unwrap_or(0);
-        assert!(
-            worst <= 2 * REGISTRATION_COMPACT_LEN,
-            "registration lists must stay bounded (worst {worst})"
-        );
-        assert_matches_scratch(&mut w);
-    }
-
-    #[test]
-    fn sparse_world_matches_scratch_through_moves() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Sparse,
-        );
-        assert_matches_scratch(&mut w);
-        w.move_robot(1, p(10.0, 5.0));
-        assert_matches_scratch(&mut w);
-        assert!(w.sees(0, 2));
-        w.move_robot(1, p(10.0, 0.0));
-        assert_matches_scratch(&mut w);
-        assert!(!w.sees(0, 2));
-        w.move_robot(3, p(9.0, 11.0));
-        w.move_robot(0, p(1.0, 0.5));
-        assert_matches_scratch(&mut w);
-    }
-
-    #[test]
-    fn sparse_and_dense_agree_event_for_event() {
-        let centers = vec![
-            p(0.0, 0.0),
-            p(10.0, 0.0),
-            p(20.0, 0.0),
-            p(10.0, 12.0),
-            p(5.0, 30.0),
-        ];
-        let mut s = world(centers.clone(), WorldMode::Sparse);
-        let mut d = world(centers, WorldMode::Incremental);
-        let script = [
-            (1, p(10.0, 5.0)),
-            (4, p(5.0, 1.0)),
-            (3, p(10.0, 0.5)),
-            (1, p(10.0, 0.0)),
-            (0, p(0.0, 1.0)),
-            (4, p(5.0, 30.0)),
-        ];
-        for &(m, to) in &script {
-            s.move_robot(m, to);
-            d.move_robot(m, to);
-            for i in 0..s.len() {
-                assert_eq!(
-                    s.visible_of(i),
-                    d.visible_of(i),
-                    "sparse and dense visible sets of robot {i} diverged"
-                );
-                // The two modes share the exact invalidation rule (the
-                // dirtied-pair set is identical), so the view-version
-                // streams — the engine's decision-cache keys — must match
-                // bump-for-bump, not just in their guarantee.
-                assert_eq!(
-                    s.view_version(i),
-                    d.view_version(i),
-                    "view-version stream of robot {i} diverged"
-                );
-            }
-            assert_eq!(s.is_valid(), d.is_valid());
-            assert_eq!(s.is_connected(), d.is_connected());
-            assert_eq!(s.all_on_hull(), d.all_on_hull());
-            assert_eq!(s.is_gathered(1e-9), d.is_gathered(1e-9));
-            assert_eq!(s.min_pairwise_gap(), d.min_pairwise_gap());
-        }
-    }
-
-    #[test]
-    fn sparse_pair_store_only_materializes_queried_rows() {
+    fn pair_store_only_materializes_queried_rows() {
         let n = 40;
         let centers: Vec<Point> = (0..n)
             .map(|i| p((i % 8) as f64 * 5.0, (i / 8) as f64 * 5.0))
             .collect();
-        let mut w = world(centers, WorldMode::Sparse);
+        let mut w = world(centers);
         let _ = w.visible_of(0);
         let (entries, _) = w.pair_store_stats();
         assert_eq!(
@@ -2110,15 +1668,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_long_chords_register_coarsely_and_still_invalidate() {
-        // The 0–1 chord is far longer than SPARSE_REG_SPAN_CELLS base
-        // cells, so its corridor registers at a coarse level; a robot
-        // jumping into the corridor must still dirty it through the
-        // coarse-cell drain.
-        let mut w = world(
-            vec![p(0.0, 0.0), p(200.0, 0.0), p(100.0, 50.0)],
-            WorldMode::Sparse,
-        );
+    fn long_chords_register_coarsely_and_still_invalidate() {
+        // The 0–1 chord is far longer than REG_SPAN_CELLS base cells, so
+        // its corridor registers at a coarse level; a robot jumping into
+        // the corridor must still dirty it through the coarse-cell drain.
+        let mut w = world(vec![p(0.0, 0.0), p(200.0, 0.0), p(100.0, 50.0)]);
         assert!(w.sees(0, 1));
         w.move_robot(2, p(100.0, 0.0));
         assert!(!w.sees(0, 1), "the newcomer must block the long sight line");
@@ -2129,29 +1683,29 @@ mod tests {
     }
 
     #[test]
-    fn sparse_registrations_and_pending_queues_stay_bounded() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(40.0, 0.0), p(20.0, 3.0)],
-            WorldMode::Sparse,
-        );
+    fn registrations_and_pending_queues_stay_bounded() {
+        // Oscillate one robot through a corridor many times; the far cells
+        // of the corridor accumulate registrations that the compaction
+        // bound must keep finite.
+        let mut w = world(vec![p(0.0, 0.0), p(40.0, 0.0), p(20.0, 3.0)]);
         for k in 0..500 {
             let y = if k % 2 == 0 { 0.0 } else { 3.0 };
             w.move_robot(2, p(20.0, y));
             let _ = w.visible_of(0);
         }
         let worst = w
-            .sparse
+            .store
             .regs
             .iter()
             .flat_map(CellMap::values)
-            .map(|r| r.refs.len())
+            .map(|c| c.regs.len())
             .max()
             .unwrap_or(0);
         assert!(
             worst <= 2 * REGISTRATION_COMPACT_LEN,
-            "sparse registration lists must stay bounded (worst {worst})"
+            "registration lists must stay bounded (worst {worst})"
         );
-        let worst_pending = w.sparse.pending.iter().map(|q| q.js.len()).max().unwrap();
+        let worst_pending = w.store.rows.iter().map(|r| r.pending.len()).max().unwrap();
         assert!(
             worst_pending <= 2 * REGISTRATION_COMPACT_LEN.max(w.len()),
             "pending queues must stay bounded (worst {worst_pending})"
@@ -2161,18 +1715,13 @@ mod tests {
 
     #[test]
     fn contact_candidates_cover_the_swept_path() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 30.0)],
-            WorldMode::Incremental,
-        );
+        let centers = vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 30.0)];
+        let mut w = world(centers.clone());
         let mut out = Vec::new();
         w.contact_candidates(0, p(0.0, 0.0), Vec2::new(1.0, 0.0), 9.0, &mut out);
         assert!(out.contains(&1), "the disc ahead must be a candidate");
         assert!(!out.contains(&0), "the mover itself is excluded");
-        let mut scratch = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 30.0)],
-            WorldMode::Scratch,
-        );
+        let mut scratch = World::new(centers, VisibilityConfig::default(), WorldMode::Scratch);
         scratch.contact_candidates(0, p(0.0, 0.0), Vec2::new(1.0, 0.0), 9.0, &mut out);
         assert_eq!(out, vec![1, 2], "scratch mode scans everyone");
     }

@@ -1,8 +1,8 @@
-//! Linear-memory assertion for the sparse world: quadrupling n must not
-//! come close to quadrupling-squared the heap. The dense incremental mode
-//! materializes the Θ(n²) pair triangle eagerly, so it would fail this
-//! test's ratio gate by an order of magnitude; the sparse store must stay
-//! linear in n plus the pairs actually computed.
+//! Linear-memory assertion for the cached world: quadrupling n must not
+//! come close to quadrupling-squared the heap. A world that materialized
+//! the Θ(n²) pair triangle eagerly would fail this test's ratio gate by an
+//! order of magnitude; the sparse store must stay linear in n plus the
+//! pairs actually computed.
 //!
 //! This integration test owns its binary, so it can install a counting
 //! global allocator without affecting any other suite.
@@ -108,7 +108,7 @@ fn sparse_workload_peak(side: usize) -> u64 {
 #[test]
 fn sparse_world_memory_is_linear_in_n() {
     // side 32 → n=1024, side 64 → n=4096: n quadruples. A linear world
-    // roughly quadruples its peak; the dense triangle would grow 16×. The
+    // roughly quadruples its peak; a pair triangle would grow 16×. The
     // gate at 8× sits in the dead zone between the two, far from both.
     let small = sparse_workload_peak(32);
     let large = sparse_workload_peak(64);

@@ -1,4 +1,4 @@
-//! Property tests pinning the incremental world state to the from-scratch
+//! Property tests pinning the cached world state to the from-scratch
 //! reference: after an arbitrary sequence of randomized single-robot moves,
 //! every cached answer must equal the answer recomputed from zero on the
 //! current centers.
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 /// Base configurations: robots on distinct coarse grid cells with jitter —
 /// dense enough for occlusions, and moves can legally pile robots close
-/// together (the visibility matrix is defined regardless of validity).
+/// together (visibility is defined regardless of validity).
 fn base_centers(max_n: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::btree_set((0u32..6, 0u32..6), 3..=max_n).prop_flat_map(|cells| {
         let cells: Vec<(u32, u32)> = cells.into_iter().collect();
@@ -35,7 +35,7 @@ fn moves(len: usize) -> impl Strategy<Value = Vec<(usize, f64, f64)>> {
     prop::collection::vec((0usize..64, -2.0f64..20.0, -2.0f64..20.0), 1..=len)
 }
 
-/// Every incremental answer equals its from-scratch counterpart.
+/// Every cached answer equals its from-scratch counterpart.
 fn assert_world_matches_scratch(
     world: &mut World,
     centers: &[Point],
@@ -60,15 +60,16 @@ fn assert_world_matches_scratch(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant: the incremental visibility matrix (and every
-    /// other cached predicate) stays equal to a from-scratch recomputation
-    /// after arbitrary randomized single-robot moves.
+    /// The tentpole invariant: the cached pair store (slot slab, per-level
+    /// corridor registrations, pending-row queues, adjacency lists) and
+    /// every other cached predicate stay equal to a from-scratch
+    /// recomputation after arbitrary randomized single-robot moves.
     #[test]
-    fn incremental_world_matches_scratch_after_moves(
+    fn cached_world_matches_scratch_after_moves(
         centers in base_centers(9),
         script in moves(14),
     ) {
-        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Incremental);
+        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
         let mut centers = centers;
         // Warm part of the cache so moves invalidate *existing* entries,
         // not just fill cold ones.
@@ -98,7 +99,7 @@ proptest! {
         let n = centers.len();
         let algo = LocalAlgorithm::new(AlgorithmParams::for_n(n));
         let mut arena = ComputeScratch::default();
-        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Incremental);
+        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
         let mut centers = centers;
         // One post-Look sample per robot: (version, view, decision). The
         // decision is computed only on valid (non-overlapping)
@@ -137,42 +138,8 @@ proptest! {
         }
     }
 
-    /// The sparse-world invariant: [`WorldMode::Sparse`] (hash-map pair
-    /// store, per-level corridor registrations, pending-row queues) answers
-    /// exactly like the from-scratch reference after arbitrary randomized
-    /// moves — and its view-version stream matches the dense world's
-    /// bump-for-bump, so the engine's decision cache keys identically
-    /// under either mode.
-    #[test]
-    fn sparse_world_matches_scratch_and_dense_after_moves(
-        centers in base_centers(9),
-        script in moves(14),
-    ) {
-        let mut sparse = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
-        let mut dense = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Incremental);
-        let mut centers = centers;
-        let _ = sparse.visible_of(0);
-        let _ = dense.visible_of(0);
-        for (pick, x, y) in script {
-            let i = pick % centers.len();
-            let p = Point::new(x, y);
-            sparse.move_robot(i, p);
-            dense.move_robot(i, p);
-            centers[i] = p;
-            assert_world_matches_scratch(&mut sparse, &centers)?;
-            for j in 0..centers.len() {
-                let _ = dense.visible_of(j);
-                prop_assert!(
-                    sparse.view_version(j) == dense.view_version(j),
-                    "view-version stream of robot {} diverged between modes",
-                    j
-                );
-            }
-        }
-    }
-
     /// The commutation criterion of the parallel executor, against
-    /// arbitrary move scripts in both cached world modes: admitting Looks
+    /// arbitrary move scripts: admitting Looks
     /// greedily under the batcher's conflict predicate (reject a robot
     /// whose plan touches any robot already batched) yields plans whose
     /// pair sets are **pairwise disjoint** — so the batched kernel
@@ -184,9 +151,8 @@ proptest! {
     fn batcher_admitted_looks_have_disjoint_pair_sets(
         centers in base_centers(9),
         script in moves(14),
-        mode in (0usize..2).prop_map(|m| if m == 0 { WorldMode::Incremental } else { WorldMode::Sparse }),
     ) {
-        let mut world = World::new(centers.clone(), VisibilityConfig::default(), mode);
+        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
         let mut centers = centers;
         let n = centers.len();
         let _ = world.visible_of(0);
@@ -238,10 +204,9 @@ proptest! {
     fn injected_pair_answers_match_the_serial_look(
         centers in base_centers(9),
         script in moves(14),
-        mode in (0usize..2).prop_map(|m| if m == 0 { WorldMode::Incremental } else { WorldMode::Sparse }),
     ) {
-        let mut injected = World::new(centers.clone(), VisibilityConfig::default(), mode);
-        let mut serial = World::new(centers.clone(), VisibilityConfig::default(), mode);
+        let mut injected = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
+        let mut serial = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
         let n = centers.len();
         let mut plan = Vec::new();
         let mut answers = PairAnswers::default();
@@ -274,7 +239,7 @@ proptest! {
         centers in base_centers(7),
         script in moves(10),
     ) {
-        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Incremental);
+        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
         let mut centers = centers;
         for (step, (pick, x, y)) in script.into_iter().enumerate() {
             let i = pick % centers.len();

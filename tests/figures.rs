@@ -1,5 +1,5 @@
 //! Reproductions of the paper's five figures as executable checks
-//! (experiments F1–F5 of EXPERIMENTS.md).
+//! (experiments F1–F5; `report --figures` prints how to reproduce them).
 
 use fatrobots::core::compute::{ComputeState, LocalAlgorithm};
 use fatrobots::core::functions::{find_points, move_to_point};
