@@ -33,8 +33,10 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// * **v2** — per-run records additionally carry
 ///   `visibility_cache_hits` / `visibility_cache_misses` (the world's
 ///   pair-cache telemetry: every pair of every Look, and every direct
-///   `World::sees` probe, counts once — a hit when its stored answer was
-///   clean, a miss when it had to be (re)computed; both 0 under
+///   `World::sees` probe, counts once — a hit when it was answered
+///   without a computation (a clean stored entry, or a far pair answered
+///   by the row's occlusion horizon), a miss when it had to be
+///   (re)computed; both 0 under
 ///   `WorldMode::Scratch`). v2 is a pure field addition: every v1
 ///   key is still present with the same meaning, and readers written
 ///   against v1 keep working — see [`report_supported`].

@@ -916,6 +916,192 @@ struct StripScratch {
     pool: Vec<Vec<(f64, f64)>>,
 }
 
+/// How far beyond its certification radius an occlusion horizon answers:
+/// a horizon closed at radius `R` hides every robot at least
+/// `R + HORIZON_FAR_MARGIN` from the certified center (see
+/// [`occlusion_horizon`]).
+pub const HORIZON_FAR_MARGIN: f64 = 3.0 * UNIT_RADIUS;
+
+/// Uniform φ-bins the horizon cover starts from.
+const HORIZON_BINS: usize = 64;
+
+/// Halvings a φ-bin may take before the horizon cover gives up on it:
+/// bins end no narrower than 2π/4096, where an obstacle at radius 24
+/// still keeps a band of width ≥ 2·hw − 0.04.
+const HORIZON_MAX_SPLITS: u32 = 6;
+
+/// Bins the horizon cover may examine before giving up (a closed cover of
+/// a dense packing needs the initial 64 and a handful of splits).
+const HORIZON_MAX_BIN_VISITS: usize = 2048;
+
+/// Directions sampled by the horizon's O(k) precheck.
+const HORIZON_PROBES: usize = 16;
+
+/// Absolute slack added to every per-bin interval bound, covering the
+/// rounding of the bin frame (`cos`/`sin` of the bin midpoint) and of the
+/// dot products — orders of magnitude below [`STRIP_COVER_SAFETY`].
+const HORIZON_BOUND_SLACK: f64 = 1e-9;
+
+/// Drift-stable **occlusion horizon** of a robot around `center`: when
+/// this returns `true`, [`disc_sees_disc_among`] answers "not seen"
+/// between that robot and **every** robot `j` with
+/// `|c_j − center| ≥ radius + `[`HORIZON_FAR_MARGIN`], for any
+/// configuration in which the robot sits within [`COVER_STABILITY_RADIUS`]
+/// (ρ) of `center` and every other robot — every obstacle, and `j` itself
+/// — within ρ of its position at this call (`j`'s distance measured at
+/// query time), under the kernel's obstacle-superset contract. It is the
+/// row-level sibling of [`strip_cover_blocked_with_slack`]: one
+/// certificate answers a whole far field instead of one pair.
+///
+/// `obstacles` may be any set of the *other* robots' centers; only those
+/// within about `radius + 1` of `center` can contribute, and a missing
+/// obstacle only makes the cover less likely to close.
+///
+/// # Line-space cover
+///
+/// Parametrize oriented lines by direction φ (unit `u`, normal `n = u⊥`)
+/// and signed offset `d` from `center`. Every candidate segment the kernel
+/// verifies for a far pair runs from a point `p` within `1` of the robot's
+/// center — so `|p − center| ≤ 1 + ρ`, giving `|d| ≤ D = 1 + ρ`
+/// and axial position `t_p ≤ 1 + ρ` — to a point `q` within `1` of `c_j`,
+/// so `|q − center| ≥ R + 2` and `t_q ≥ √((R+2)² − D²) > R`. The segment
+/// therefore spans every axial position in `[1 + ρ, R]`.
+///
+/// An obstacle at offset `w` from `center` has axial position `a = w·u`
+/// and offset `o = w·n`. When `a ∈ [1 + 2ρ, R − ρ]` and
+/// `|o − d| ≤ hw = 1 − ρ − `[`STRIP_COVER_SAFETY`], the drifted obstacle
+/// (moved at most ρ) keeps axial position in `[1 + ρ, R]` — so the foot of
+/// its perpendicular lands on the segment — and perpendicular distance
+/// `≤ 1 − STRIP_COVER_SAFETY`, strictly inside the kernel's blocking
+/// distance `UNIT_RADIUS + clearance/2`. Each obstacle thus covers a band
+/// of the `(φ, d)` cylinder, and if the bands cover all of
+/// `[0, 2π) × [−D, D]` every candidate is blocked. The line through the
+/// robot towards `c_j` is itself covered, so some obstacle lies inside the
+/// pair's corridor and the kernel's empty-corridor shortcut cannot answer
+/// "seen" either. Blocking obstacles sit within `2·UNIT_RADIUS` of the
+/// chord, inside [`VISIBILITY_PRUNE_RADIUS`], so any admitted obstacle
+/// slice contains them; robots that *enter* afterwards only block more.
+///
+/// # Sound bins
+///
+/// The cover is checked per φ-bin of half-width `h`: over the bin, `a` and
+/// `o` stay within `|w|·h` (plus [`HORIZON_BOUND_SLACK`]) of their values
+/// at the bin midpoint, so an obstacle whose axial range fits the window
+/// covers the `d`-interval `[o_max − hw, o_min + hw]` for the **whole**
+/// bin. A bin whose intervals cover `[−D, D]` is closed; an open bin is
+/// halved (up to [`HORIZON_MAX_SPLITS`] times) before the certificate
+/// gives up. An O(k) precheck first asks the exact bands to cover three
+/// lines (`d = −D, 0, D`) in each of [`HORIZON_PROBES`] directions — a
+/// necessary condition (a hull vertex, say, fails it at once), so it only
+/// ever skips certificates that could not close. `false` never means
+/// "visible": callers fall back to computing the pairs.
+pub fn occlusion_horizon(center: Point, obstacles: &[Point], radius: f64) -> bool {
+    let rho = COVER_STABILITY_RADIUS;
+    let hw = UNIT_RADIUS - rho - STRIP_COVER_SAFETY;
+    let reach = UNIT_RADIUS + rho + STRIP_COVER_SAFETY;
+    let (a_min, a_max) = (UNIT_RADIUS + 2.0 * rho, radius - rho);
+    if a_max <= a_min {
+        return false;
+    }
+    let r_max_sq = a_max * a_max + (reach + hw) * (reach + hw);
+    let frame = |phi: f64| {
+        let u = crate::point::Vec2::from_angle(phi);
+        (u, u.perp_ccw())
+    };
+    HORIZON_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let HorizonScratch {
+            obs,
+            intervals,
+            bins,
+        } = &mut *scratch;
+        obs.clear();
+        for &c in obstacles {
+            let w = c - center;
+            let r_sq = w.norm_sq();
+            if r_sq >= a_min * a_min && r_sq <= r_max_sq {
+                obs.push((w, r_sq.sqrt()));
+            }
+        }
+        // Necessary condition: the exact bands cover the probe lines.
+        for k in 0..HORIZON_PROBES {
+            let (u, n) = frame(std::f64::consts::TAU * k as f64 / HORIZON_PROBES as f64);
+            for d in [-reach, 0.0, reach] {
+                let covered = obs.iter().any(|&(w, _)| {
+                    (a_min..=a_max).contains(&w.dot(u)) && (d - hw..=d + hw).contains(&w.dot(n))
+                });
+                if !covered {
+                    return false;
+                }
+            }
+        }
+        let step = std::f64::consts::TAU / HORIZON_BINS as f64;
+        bins.clear();
+        bins.extend((0..HORIZON_BINS).rev().map(|k| {
+            let lo = k as f64 * step;
+            (lo, lo + step, 0)
+        }));
+        let mut visits = 0;
+        while let Some((lo, hi, splits)) = bins.pop() {
+            visits += 1;
+            let half = 0.5 * (hi - lo);
+            let (u, n) = frame(lo + half);
+            intervals.clear();
+            for &(w, r) in obs.iter() {
+                let spread = r * half + HORIZON_BOUND_SLACK;
+                let a = w.dot(u);
+                if a - spread < a_min || a + spread > a_max {
+                    continue;
+                }
+                let o = w.dot(n);
+                let (from, to) = (o + spread - hw, o - spread + hw);
+                if from <= to && to >= -reach && from <= reach {
+                    intervals.push((from, to));
+                }
+            }
+            intervals.sort_unstable_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(Ordering::Equal));
+            let mut covered_to = -reach;
+            for &(from, to) in intervals.iter() {
+                if from > covered_to {
+                    break;
+                }
+                covered_to = covered_to.max(to);
+            }
+            if covered_to >= reach {
+                continue;
+            }
+            if splits == HORIZON_MAX_SPLITS || visits >= HORIZON_MAX_BIN_VISITS {
+                return false;
+            }
+            let mid = lo + half;
+            bins.push((mid, hi, splits + 1));
+            bins.push((lo, mid, splits + 1));
+        }
+        true
+    })
+}
+
+thread_local! {
+    /// Working buffers of [`occlusion_horizon`], reused across calls.
+    static HORIZON_SCRATCH: std::cell::RefCell<HorizonScratch> =
+        const {
+            std::cell::RefCell::new(HorizonScratch {
+                obs: Vec::new(),
+                intervals: Vec::new(),
+                bins: Vec::new(),
+            })
+        };
+}
+
+struct HorizonScratch {
+    /// Contributing obstacles as (offset from the center, its norm).
+    obs: Vec<(crate::point::Vec2, f64)>,
+    /// One bin's covered `d`-intervals.
+    intervals: Vec<(f64, f64)>,
+    /// Bins still to check: `(φ_lo, φ_hi, halvings so far)`.
+    bins: Vec<(f64, f64, u32)>,
+}
+
 /// Exact full-visibility test for configurations in convex position.
 ///
 /// Returns `true` when every center lies on the common convex hull **and** no
@@ -1283,6 +1469,209 @@ mod tests {
             slack_fired >= 15,
             "slack cover fired only {slack_fired} times — vacuous test"
         );
+    }
+
+    /// Deterministic unit-interval source for the randomized tests.
+    fn lcg(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    /// A jittered `side × side` packing at center spacing `spacing`, hex
+    /// or square, with each robot dropped with probability `holes`.
+    fn packing(
+        side: usize,
+        spacing: f64,
+        hex: bool,
+        holes: f64,
+        next: &mut impl FnMut() -> f64,
+    ) -> Vec<Point> {
+        let row_h = if hex {
+            spacing * 3f64.sqrt() / 2.0
+        } else {
+            spacing
+        };
+        (0..side * side)
+            .filter_map(|i| {
+                let (r, c) = (i / side, i % side);
+                let stagger = if hex && r % 2 == 1 {
+                    spacing / 2.0
+                } else {
+                    0.0
+                };
+                let at = p(
+                    c as f64 * spacing + stagger + (next() - 0.5) * 0.02,
+                    r as f64 * row_h + (next() - 0.5) * 0.02,
+                );
+                (next() >= holes).then_some(at)
+            })
+            .collect()
+    }
+
+    /// Every center but `i` and `j` within [`VISIBILITY_PRUNE_RADIUS`] of
+    /// their chord: an obstacle slice the kernel contract admits.
+    fn corridor_slice(centers: &[Point], i: usize, j: usize) -> Vec<Point> {
+        let chord = Segment::new(centers[i], centers[j]);
+        centers
+            .iter()
+            .enumerate()
+            .filter(|&(k, &c)| k != i && k != j && chord.distance_to(c) <= VISIBILITY_PRUNE_RADIUS)
+            .map(|(_, &c)| c)
+            .collect()
+    }
+
+    #[test]
+    fn occlusion_horizon_hides_the_far_field_from_the_exact_kernel() {
+        // Across jittered hex and square packings with random holes: a
+        // closed horizon must make the exact kernel answer "not seen" for
+        // every robot beyond R + HORIZON_FAR_MARGIN — checked on the
+        // nearest far shell, where a gap would show first — in the
+        // certified configuration and in one where every robot drifted by
+        // the full stability radius.
+        let mut next = lcg(0x0B5C_0DE5);
+        let (mut closed, mut refused) = (0u32, 0u32);
+        for trial in 0..10 {
+            let hex = trial % 5 != 4;
+            let spacing = 2.02 + 0.2 * next();
+            let holes = if trial % 2 == 0 { 0.0 } else { 0.05 };
+            let side = 22;
+            let centers = packing(side, spacing, hex, holes, &mut next);
+            let middle = |v: f64| side / 4 + (v * (side / 2) as f64) as usize;
+            let (row, col) = (middle(next()), middle(next()));
+            let target = p(col as f64 * spacing, row as f64 * spacing * 0.9);
+            let i = (0..centers.len())
+                .min_by(|&a, &b| {
+                    let (da, db) = (centers[a].distance(target), centers[b].distance(target));
+                    da.partial_cmp(&db).unwrap()
+                })
+                .unwrap();
+            let center = centers[i];
+            let others: Vec<Point> = centers
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| k != i)
+                .map(|(_, &c)| c)
+                .collect();
+            for radius in [6.0, 12.0] {
+                if !occlusion_horizon(center, &others, radius) {
+                    refused += 1;
+                    continue;
+                }
+                closed += 1;
+                let drift = if trial % 2 == 0 {
+                    0.0
+                } else {
+                    COVER_STABILITY_RADIUS
+                };
+                let moved: Vec<Point> = centers
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &c)| {
+                        let angle = k as f64 * 2.399 + trial as f64;
+                        p(c.x + drift * angle.cos(), c.y + drift * angle.sin())
+                    })
+                    .collect();
+                let far = radius + HORIZON_FAR_MARGIN;
+                for j in 0..moved.len() {
+                    let d = moved[j].distance(center);
+                    if j == i || d < far || d >= far + 1.5 {
+                        continue;
+                    }
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    assert!(
+                        !disc_sees_disc_among_k::<crate::kernel::ExactKernel>(
+                            moved[lo],
+                            moved[hi],
+                            &corridor_slice(&moved, lo, hi),
+                            &cfg()
+                        ),
+                        "trial {trial}: horizon R={radius} closed but robot {j} at {d:.3} is seen"
+                    );
+                }
+            }
+        }
+        assert!(
+            closed >= 8,
+            "the horizon closed only {closed} times — vacuous test"
+        );
+        assert!(
+            refused >= 2,
+            "the horizon never refused — the packings are too easy"
+        );
+    }
+
+    #[test]
+    fn occlusion_horizon_refuses_a_one_robot_wide_channel() {
+        // A hex packing with one row of robots taken out: the robot just
+        // below the channel sees far along it, so no horizon may close.
+        let mut next = lcg(0x0C4A_77E1);
+        let (side, spacing) = (30, 2.1);
+        let row_h = spacing * 3f64.sqrt() / 2.0;
+        let centers: Vec<Point> = packing(side, spacing, true, 0.0, &mut next)
+            .into_iter()
+            .filter(|c| ((c.y / row_h).round() as usize) != side / 2)
+            .collect();
+        let channel_y = (side / 2) as f64 * row_h;
+        let i = (0..centers.len())
+            .min_by(|&a, &b| {
+                let target = p(side as f64, channel_y - row_h);
+                let (da, db) = (centers[a].distance(target), centers[b].distance(target));
+                da.partial_cmp(&db).unwrap()
+            })
+            .unwrap();
+        let seen_beyond = (0..centers.len())
+            .filter(|&j| j != i)
+            .filter(|&j| {
+                let (lo, hi) = (i.min(j), i.max(j));
+                let slice = corridor_slice(&centers, lo, hi);
+                centers[j].distance(centers[i]) >= 24.0 + HORIZON_FAR_MARGIN
+                    && disc_sees_disc_among(centers[lo], centers[hi], &slice, &cfg())
+            })
+            .count();
+        assert!(seen_beyond > 0, "the channel must open a far sight line");
+        let others: Vec<Point> = centers
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k != i)
+            .map(|(_, &c)| c)
+            .collect();
+        for radius in [6.0, 12.0, 24.0] {
+            assert!(
+                !occlusion_horizon(centers[i], &others, radius),
+                "the horizon closed at R={radius} across an open channel"
+            );
+        }
+        // Without the channel the same robot's horizon closes.
+        let packed = packing(side, spacing, true, 0.0, &mut lcg(0x0C4A_77E1));
+        let k = (0..packed.len())
+            .min_by(|&a, &b| {
+                let (da, db) = (
+                    packed[a].distance(centers[i]),
+                    packed[b].distance(centers[i]),
+                );
+                da.partial_cmp(&db).unwrap()
+            })
+            .unwrap();
+        let rest: Vec<Point> = packed
+            .iter()
+            .enumerate()
+            .filter(|&(m, _)| m != k)
+            .map(|(_, &c)| c)
+            .collect();
+        assert!(occlusion_horizon(packed[k], &rest, 6.0));
+    }
+
+    #[test]
+    fn occlusion_horizon_never_closes_at_a_hull_vertex() {
+        let mut next = lcg(7);
+        let centers = packing(12, 2.1, true, 0.0, &mut next);
+        assert!(!occlusion_horizon(centers[0], &centers[1..], 6.0));
+        assert!(!occlusion_horizon(p(0.0, 0.0), &[], 6.0));
     }
 
     #[test]

@@ -43,6 +43,50 @@
 //! registered cell. A Look recomputes only its row's queued dirty pairs,
 //! against a grid-pruned obstacle slice.
 //!
+//! ## The occlusion horizon
+//!
+//! Robots are opaque discs, so in a dense formation a robot sees only its
+//! own ring — yet a row holds n − 1 pairs, and a robot that moves beyond
+//! the certificate drift radius dirties all of them. The **occlusion
+//! horizon** makes such a Look output-sensitive. Before computing a row,
+//! the refresh asks [`occlusion_horizon`] whether the obstacles within
+//! radius R of the robot block every line leaving it, at R = 6, 12, 24, …
+//! When it closes, the certificate proves the pair kernel answers "not
+//! seen" for every robot at least `R + HORIZON_FAR_MARGIN` away, so the
+//! refresh computes only the **near field** (robots within
+//! `R + HORIZON_FAR_MARGIN + ρ` of the robot's anchor, O(ring) pairs).
+//! Far pairs get no entry, no kernel call and no registration, and count
+//! as cache hits.
+//!
+//! *Soundness.* The certificate covers the line space around the robot's
+//! anchor with the bands blocked by its obstacles, with the same slack ρ
+//! (`COVER_STABILITY_RADIUS`) as the certified strip cover. It holds for
+//! any configuration in which the robot stays within ρ of its anchor and
+//! every other robot within ρ of its position at certification (see the
+//! geometry docs for the argument). Every robot is within
+//! `CERT_DRIFT_RADIUS = ρ/2` of its anchor, so in-drift moves keep both.
+//! Robots beyond the near radius at certification stay beyond
+//! `R + HORIZON_FAR_MARGIN` while they stay in drift, so they remain far.
+//!
+//! *Invalidation.* The horizon registers, certified, on the cells covering
+//! its near-field disc, through the same drains as the pair corridors. An
+//! in-drift move skips it like any certified registration. A move beyond
+//! drift by the owner, or with an old or new position inside the disc (a
+//! cover obstacle leaving, a far robot arriving), dirties it and bumps the
+//! owner's view version. The next refresh then closes a fresh horizon or
+//! computes the full row. Under a live horizon the refresh recomputes the
+//! queued dirty pairs of the near field and every queued pair whose stored
+//! answer is "seen", so a stale far entry created by another row never
+//! leaks into the adjacency. Unseen far pairs stay dirty and are left to
+//! the horizon.
+//!
+//! *Cost rule.* A horizon is tried at R only while its near field — at
+//! most `(near radius + 1)²` robots by disc packing — is smaller than the
+//! work it would spare: the rest of the row for a row without stored far
+//! pairs, the queued recomputes for a full row. Small worlds and warm rows
+//! therefore never pay for an attempt, and a row whose horizon does not
+//! close runs the full-row path unchanged.
+//!
 //! ## Bit-identical results
 //!
 //! The cached path answers every query through the *same* geometric kernels
@@ -59,8 +103,8 @@ use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid,
 use fatrobots_geometry::hull::{ConvexHull, HullScratch};
 use fatrobots_geometry::visibility::{
     corridor_filter_soa, disc_sees_disc_among, min_pairwise_gap, no_three_collinear,
-    strip_cover_blocked, strip_cover_blocked_with_slack, visible_set, VisibilityConfig,
-    COVER_STABILITY_RADIUS, VISIBILITY_PRUNE_RADIUS,
+    occlusion_horizon, strip_cover_blocked, strip_cover_blocked_with_slack, visible_set,
+    VisibilityConfig, COVER_STABILITY_RADIUS, HORIZON_FAR_MARGIN, VISIBILITY_PRUNE_RADIUS,
 };
 use fatrobots_geometry::{Point, Segment, Vec2, UNIT_RADIUS};
 use fatrobots_model::config::{gap_touches, TOUCH_TOL};
@@ -124,6 +168,17 @@ struct PairEntry {
     certified: bool,
 }
 
+impl PairEntry {
+    /// The endpoint that is not `i`.
+    fn partner(&self, i: usize) -> usize {
+        if self.a as usize == i {
+            self.b as usize
+        } else {
+            self.a as usize
+        }
+    }
+}
+
 /// Maximum distance a robot may drift from its anchor before the anchor
 /// resets (the resetting move itself fails every skip check, so it drains
 /// and dirties every certified registration it covers first). Certificates
@@ -141,18 +196,49 @@ const CERT_DRIFT_RADIUS: f64 = COVER_STABILITY_RADIUS / 2.0;
 /// that would otherwise scale with the configuration diameter).
 const REG_SPAN_CELLS: f64 = 8.0;
 
+/// The smallest radius an occlusion horizon is certified at; each further
+/// attempt doubles it. At the paper-regime hex spacing the ring of
+/// obstacles within 6 radii already blocks every line leaving a robot.
+const HORIZON_FIRST_RADIUS: f64 = 6.0;
+
+/// Certification radius of a horizon after `doublings` doublings of
+/// [`HORIZON_FIRST_RADIUS`].
+fn horizon_radius(doublings: u8) -> f64 {
+    HORIZON_FIRST_RADIUS * f64::from(1u32 << doublings)
+}
+
+/// Radius of the near field of a horizon certified at `radius`: the pairs
+/// a horizon row stores. Robots beyond it at certification are at least
+/// `radius + HORIZON_FAR_MARGIN` away for as long as they stay within the
+/// drift radius, which is all the certificate needs.
+fn horizon_near_radius(radius: f64) -> f64 {
+    radius + HORIZON_FAR_MARGIN + COVER_STABILITY_RADIUS
+}
+
+/// Upper bound on the robots in the near field of a horizon certified at
+/// `radius`: unit discs centred within the near radius lie inside a disc
+/// one radius larger, so by area at most `(near + 1)²` of them fit.
+fn horizon_near_bound(radius: f64) -> f64 {
+    let r = horizon_near_radius(radius) + UNIT_RADIUS;
+    r * r / (UNIT_RADIUS * UNIT_RADIUS)
+}
+
 /// Packed key of the unordered pair `{a, b}` (`a < b`).
 fn pair_key(a: usize, b: usize) -> u64 {
     debug_assert!(a < b);
     ((a as u64) << 32) | b as u64
 }
 
-/// One corridor registration: the pair in slab slot `slot`, at generation
-/// `gen`, depends on the registered cell.
+/// One registration: the pair in slab slot `slot`, at generation `gen`,
+/// depends on the registered cell — or, when [`Self::horizon`] is set, the
+/// occlusion horizon of row `slot` at horizon generation `gen` does.
 #[derive(Debug, Clone, Copy)]
 struct Registration {
     slot: u32,
     gen: u32,
+    /// The registration belongs to a row's occlusion horizon (always
+    /// certified), not to a pair's corridor.
+    horizon: bool,
     /// Copy of [`PairEntry::certified`] at registration time, so the drain
     /// fast path can skip certified registrations without touching the
     /// pair store. A stale copy is harmless: if the pair has since been
@@ -187,14 +273,117 @@ struct Row {
     /// Amortized-compaction watermark of `pending`, bounding the queue of
     /// rows that rarely refresh.
     pending_compact_at: usize,
-    /// Whether the row has ever been fully computed. A row's first refresh
-    /// computes all of its pairs; afterwards only dirtied pairs recompute.
-    init: bool,
+    /// Which of the row's pairs are stored (see [`RowState`]).
+    state: RowState,
+    /// Generation of the row's latest occlusion horizon: horizon
+    /// registrations carrying an older one are dead.
+    horizon_gen: u32,
     /// Certificate anchor. Invariant outside `move_robot`: the robot is
     /// within [`CERT_DRIFT_RADIUS`] of it — a move that would break this
     /// first fails every skip check (dirtying the row as usual) and then
     /// resets the anchor to the new position.
     anchor: Point,
+}
+
+/// How much of a row the pair store holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RowState {
+    /// Only some of the row's pairs may be stored — none yet, or those of
+    /// a horizon that has since been dirtied — and dirty ones need not be
+    /// queued. The next refresh closes a fresh horizon or computes every
+    /// pair.
+    Partial,
+    /// Every pair of the row is stored; the dirty ones are queued on
+    /// `pending`.
+    Full,
+    /// A live occlusion horizon, certified at radius
+    /// [`horizon_radius`]`(doublings)` around the robot's anchor, answers
+    /// "not seen" for every robot at least `radius + HORIZON_FAR_MARGIN`
+    /// from the anchor. The pairs of the near field are stored, the dirty
+    /// ones queued. Centring on the anchor keeps the row small: the robot
+    /// never leaves it by more than the drift radius without dirtying the
+    /// horizon.
+    Horizon { doublings: u8 },
+}
+
+/// How the next refresh brings a row up to date, decided read-only by
+/// [`World::refresh_kind`] so that [`World::look_plan`] and the refresh
+/// itself agree. Horizons are named by their doublings (see
+/// [`RowState::Horizon`]).
+#[derive(Debug, Clone, Copy)]
+enum Refresh {
+    /// Compute every pair of the row that is not stored clean.
+    Full,
+    /// Recompute the queued dirty pairs; under a live horizon only the
+    /// seen ones and those of the near field.
+    Pending { horizon: Option<u8> },
+    /// A fresh horizon closes: compute its near field, then the queued
+    /// dirty pairs that are seen.
+    Close { doublings: u8 },
+}
+
+impl Refresh {
+    /// The horizon the refresh works under, live or fresh.
+    fn horizon(self) -> Option<u8> {
+        match self {
+            Refresh::Full => None,
+            Refresh::Pending { horizon } => horizon,
+            Refresh::Close { doublings } => Some(doublings),
+        }
+    }
+}
+
+/// Whether a dirty pair queued on a row must be recomputed by its refresh
+/// under `horizon`: always without one; under a horizon only when its
+/// stored answer is "seen" — a stale entry must never leak into the
+/// adjacency — or the `partner` lies in the near field. Every other dirty
+/// pair is a far pair the horizon already answers.
+fn pending_needs_recompute(
+    entry: &PairEntry,
+    partner: Point,
+    horizon: Option<(Point, f64)>,
+) -> bool {
+    entry.dirty
+        && horizon.map_or(true, |(center, radius)| {
+            entry.seen || in_near_field(partner, center, radius)
+        })
+}
+
+/// Whether `p` lies in the near field of a horizon certified at `radius`
+/// around `center`.
+fn in_near_field(p: Point, center: Point, radius: f64) -> bool {
+    let near = horizon_near_radius(radius);
+    p.distance_sq(center) < near * near
+}
+
+/// Whether a registration still stands for live state: a pair
+/// registration of the entry's current, clean generation, or a horizon
+/// registration of its row's current, live horizon.
+fn registration_live(entries: &[PairEntry], rows: &[Row], r: &Registration) -> bool {
+    if r.horizon {
+        let row = &rows[r.slot as usize];
+        matches!(row.state, RowState::Horizon { .. }) && row.horizon_gen == r.gen
+    } else {
+        let e = &entries[r.slot as usize];
+        e.gen == r.gen && !e.dirty
+    }
+}
+
+/// Appends `reg` to a cell's registrations, first sweeping out dead ones
+/// when the list has doubled since the last sweep.
+fn push_registration(
+    cell_regs: &mut CellRegistrations,
+    reg: Registration,
+    entries: &[PairEntry],
+    rows: &[Row],
+) {
+    if cell_regs.regs.len() >= cell_regs.compact_at.max(REGISTRATION_COMPACT_LEN) {
+        cell_regs
+            .regs
+            .retain(|r| registration_live(entries, rows, r));
+        cell_regs.compact_at = cell_regs.regs.len() * 2;
+    }
+    cell_regs.regs.push(reg);
 }
 
 /// The visibility state of the cached world: everything is sized by what
@@ -394,9 +583,9 @@ pub struct World {
     min_gap_cache: Option<(u64, MinGapEntry)>,
     /// Per-robot view versions: bumped exactly when the robot's Look
     /// snapshot may differ from the previous one — the robot itself moved,
-    /// a pair involving it was dirtied (its visible set, or the position of
-    /// a robot it sees, may have changed). Monotone; starts at 1 so the
-    /// model layer's 0 can mean "never stamped".
+    /// a pair involving it or its horizon was dirtied (its visible set, or
+    /// the position of a robot it sees, may have changed). Monotone;
+    /// starts at 1 so the model layer's 0 can mean "never stamped".
     view_versions: Vec<u64>,
     /// Visibility-cache telemetry: pair lookups answered from the cache vs
     /// recomputed.
@@ -412,8 +601,10 @@ pub struct World {
     cover_answers: u64,
     cert_skips: u64,
     /// Reusable buffers: grid candidates of the validity and connectivity
-    /// scans, and the scratch of the world's own pair recomputes.
+    /// scans and of the horizon's near field, the horizon's obstacles, and
+    /// the scratch of the world's own pair recomputes.
     cand_buf: Vec<usize>,
+    obs_buf: Vec<Point>,
     probe: PairProbe,
 }
 
@@ -430,7 +621,8 @@ impl World {
                     adj: Vec::new(),
                     pending: Vec::new(),
                     pending_compact_at: 0,
-                    init: false,
+                    state: RowState::Partial,
+                    horizon_gen: 0,
                     anchor,
                 })
                 .collect();
@@ -462,6 +654,7 @@ impl World {
             cover_answers: 0,
             cert_skips: 0,
             cand_buf: Vec::new(),
+            obs_buf: Vec::new(),
             probe: PairProbe::default(),
         }
     }
@@ -493,8 +686,10 @@ impl World {
 
     /// Cache telemetry: `(hits, misses)` of the pairwise visibility cache.
     /// Every pair a Look or a [`Self::sees`] probe asks about counts once:
-    /// a hit when its stored answer was clean, a miss when it had to be
-    /// (re)computed. Both are 0 in [`WorldMode::Scratch`].
+    /// a hit when it was answered without a computation — a clean stored
+    /// entry, or a far pair answered by the row's occlusion horizon — and
+    /// a miss when it had to be (re)computed. Both are 0 in
+    /// [`WorldMode::Scratch`].
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -507,10 +702,12 @@ impl World {
     }
 
     /// Pair-store telemetry: `(entries, registrations)` — the pairs
-    /// actually computed so far, and the corridor registrations currently
-    /// held (live or not yet compacted). Linear in n plus the computed
-    /// pairs, which is what the scale gate's linear-memory assertion
-    /// watches. Both are 0 in [`WorldMode::Scratch`].
+    /// actually computed so far (a row under an occlusion horizon stores
+    /// only its near field, so far pairs add nothing), and the corridor
+    /// and horizon registrations currently held (live or not yet
+    /// compacted). Linear in n plus the computed pairs, which is what the
+    /// scale gate's memory assertions watch. Both are 0 in
+    /// [`WorldMode::Scratch`].
     pub fn pair_store_stats(&self) -> (u64, u64) {
         let registrations = self
             .store
@@ -536,9 +733,10 @@ impl World {
     /// every dirty pair of row `i`); if two such reads return the same
     /// value, the two snapshots are **guaranteed** bit-identical. (The
     /// converse is conservative — a bump does not prove the view changed.)
-    /// Bumps come from three places: the mover itself on every effective
-    /// move, both endpoints of a *seen* pair when it is dirtied, and both
-    /// endpoints of a pair whose answer flips at a recompute. In
+    /// Bumps come from four places: the mover itself on every effective
+    /// move, both endpoints of a *seen* pair when it is dirtied, both
+    /// endpoints of a pair whose answer flips at a recompute, and the
+    /// owner of an occlusion horizon when it is dirtied. In
     /// [`WorldMode::Scratch`] every effective move bumps every robot, which
     /// keeps the guarantee trivially.
     ///
@@ -698,6 +896,27 @@ impl World {
                 *cert_skips += 1;
                 return true;
             }
+            if r.horizon {
+                let owner = r.slot as usize;
+                let row = &mut rows[owner];
+                let RowState::Horizon { doublings } = row.state else {
+                    return false; // dead: the horizon was dirtied
+                };
+                if row.horizon_gen != r.gen {
+                    return false; // dead: superseded by a newer horizon
+                }
+                let (center, radius) = (row.anchor, horizon_radius(doublings));
+                // The owner moved, or the mover entered or left the near
+                // field (a cover obstacle leaving, a far robot arriving).
+                let affected = owner == mover
+                    || in_near_field(old, center, radius)
+                    || in_near_field(new, center, radius);
+                if affected {
+                    row.state = RowState::Partial;
+                    view_versions[owner] += 1;
+                }
+                return !affected;
+            }
             let entry = &mut entries[r.slot as usize];
             if entry.gen != r.gen || entry.dirty {
                 return false; // dead registration
@@ -764,15 +983,14 @@ impl World {
         self.recompute_slot(slot, None)
     }
 
-    /// The grid level a pair registers its corridor at: the finest level
-    /// whose cells are large enough that the chord's cover holds O(1) of
-    /// them ([`REG_SPAN_CELLS`]). Long chords land on the coarsest level,
-    /// whose cover is a handful of cells even across the whole
-    /// configuration.
-    fn reg_level(&self, ca: Point, cb: Point) -> usize {
-        let chord = ca.distance(cb);
+    /// The grid level a registration spanning `span` (a pair's chord, a
+    /// horizon's near-field diameter) is placed at: the finest level whose
+    /// cells are large enough that the cover holds O(1) of them
+    /// ([`REG_SPAN_CELLS`]). Long chords land on the coarsest level, whose
+    /// cover is a handful of cells even across the whole configuration.
+    fn reg_level(&self, span: f64) -> usize {
         for level in 0..GRID_LEVELS {
-            if chord <= self.grid.cell_size_at(level) * REG_SPAN_CELLS {
+            if span <= self.grid.cell_size_at(level) * REG_SPAN_CELLS {
                 return level;
             }
         }
@@ -914,39 +1132,105 @@ impl World {
         }
         // Register on the chosen level's conservative cover, carrying the
         // just-computed certified flag so drains can honor it without a
-        // pair-store read. The *registration* walk must not skip empty
-        // cells: a future mover can enter one.
+        // pair-store read.
         let (ca, cb) = (self.centers[a], self.centers[b]);
-        let level = self.reg_level(ca, cb);
         let reg = Registration {
             slot,
             gen,
+            horizon: false,
             certified: ans.certified,
         };
-        let PairStore { entries, regs, .. } = &mut self.store;
-        let level_regs = &mut regs[level];
-        self.grid
-            .for_each_cell_near_segment_at(level, ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                let cell_regs = level_regs.entry(cell).or_default();
-                if cell_regs.regs.len() >= cell_regs.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                    cell_regs.regs.retain(|r| {
-                        let e = &entries[r.slot as usize];
-                        e.gen == r.gen && !e.dirty
-                    });
-                    cell_regs.compact_at = cell_regs.regs.len() * 2;
-                }
-                cell_regs.regs.push(reg);
-                true
-            });
+        let level = self.reg_level(ca.distance(cb));
+        self.register(reg, level, ca, cb, VISIBILITY_PRUNE_RADIUS);
         ans.seen
     }
 
+    /// Places `reg` on every level-`level` cell of the conservative cover
+    /// of the capsule of `radius` around segment `a`–`b`. The walk must not
+    /// skip empty cells: a future mover can enter one.
+    fn register(&mut self, reg: Registration, level: usize, a: Point, b: Point, radius: f64) {
+        let PairStore {
+            entries,
+            rows,
+            regs,
+            ..
+        } = &mut self.store;
+        let level_regs = &mut regs[level];
+        self.grid
+            .for_each_cell_near_segment_at(level, a, b, radius, |cell| {
+                push_registration(level_regs.entry(cell).or_default(), reg, entries, rows);
+                true
+            });
+    }
+
+    /// How the next refresh of row `i` proceeds — read-only, so that
+    /// [`Self::look_plan`] and the refresh decide identically (nothing
+    /// between the two can move a robot or touch the row). A live horizon
+    /// keeps answering; otherwise a fresh one is tried at radius 6, 12,
+    /// 24, … for as long as the cost rule holds: the near field it would
+    /// compute, bounded by [`horizon_near_bound`], must be smaller than
+    /// the rest of the work it would spare — the whole row for a partial
+    /// row, the queued recomputes for a full one. Small worlds and warm
+    /// rows never pay for an attempt. `cand`/`obs` are scratch.
+    fn refresh_kind(&self, i: usize, cand: &mut Vec<usize>, obs: &mut Vec<Point>) -> Refresh {
+        let row = &self.store.rows[i];
+        let spare = match row.state {
+            RowState::Horizon { doublings } => {
+                return Refresh::Pending {
+                    horizon: Some(doublings),
+                };
+            }
+            RowState::Full => row.pending.len(),
+            RowState::Partial => self.len() - 1,
+        } as f64;
+        let mut doublings = 0;
+        while 2.0 * horizon_near_bound(horizon_radius(doublings)) < spare {
+            let radius = horizon_radius(doublings);
+            self.grid
+                .candidates_near_point(row.anchor, radius + UNIT_RADIUS, cand);
+            obs.clear();
+            obs.extend(cand.iter().filter(|&&k| k != i).map(|&k| self.centers[k]));
+            if occlusion_horizon(row.anchor, obs, radius) {
+                return Refresh::Close { doublings };
+            }
+            doublings += 1;
+        }
+        match row.state {
+            RowState::Full => Refresh::Pending { horizon: None },
+            _ => Refresh::Full,
+        }
+    }
+
+    /// The near-field disc `(center, radius)` of a horizon of row `i`
+    /// after `doublings` doublings.
+    fn horizon_disc(&self, i: usize, doublings: u8) -> (Point, f64) {
+        (self.store.rows[i].anchor, horizon_radius(doublings))
+    }
+
+    /// Fills `out` with the near field of a horizon certified at `radius`
+    /// around `center` for row `i`: every other robot strictly within
+    /// [`horizon_near_radius`], ascending.
+    fn horizon_near_set(&self, i: usize, center: Point, radius: f64, out: &mut Vec<usize>) {
+        self.grid
+            .candidates_near_point(center, horizon_near_radius(radius), out);
+        out.retain(|&j| j != i && in_near_field(self.centers[j], center, radius));
+    }
+
     /// Brings every pair of row `i` up to date, so that its adjacency list
-    /// *is* the visible set. A row's first refresh computes all of its
-    /// pairs (the unavoidable O(n)); afterwards only the pairs queued dirty
-    /// by the cell drains recompute — the output-sensitive steady state.
-    /// Either way every pair of the row counts once in the hit/miss
-    /// telemetry.
+    /// *is* the visible set. The kind of refresh is [`Self::refresh_kind`]'s:
+    ///
+    /// * **full** — every pair not stored clean is computed (a row's first
+    ///   refresh when no horizon closes: the unavoidable O(n));
+    /// * **close** — a fresh occlusion horizon closed, so only its near
+    ///   field is computed (O(near)); far pairs get no entry, no kernel
+    ///   call and no registration, and the horizon registers instead;
+    /// * **pending** — only the pairs queued dirty by the cell drains
+    ///   recompute (the output-sensitive steady state), under a live
+    ///   horizon only the seen ones and the near field's.
+    ///
+    /// Whatever the kind, every pair of the row counts once in the hit/miss
+    /// telemetry: the pairs computed here are misses, all others (clean
+    /// entries and horizon answers alike) hits.
     ///
     /// Each recompute is answered from the injected [`PairAnswers`] when
     /// present (serially recomputed otherwise). The drain order, the
@@ -954,58 +1238,87 @@ impl World {
     /// way.
     fn refresh_row_with(&mut self, i: usize, answers: Option<&PairAnswers>) {
         let n = self.len();
-        if !self.store.rows[i].init {
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let (a, b) = if i < j { (i, j) } else { (j, i) };
-                let slot = self.store.slot_or_insert(a, b);
-                if self.store.entries[slot as usize].dirty {
-                    self.misses += 1;
-                    self.recompute_slot(slot, answers.and_then(|s| s.get(a, b)));
-                } else {
-                    self.hits += 1;
-                }
-            }
-            let row = &mut self.store.rows[i];
-            row.init = true;
-            row.pending = Vec::new();
-            row.pending_compact_at = 0;
-            return;
-        }
-        let mut slots = std::mem::take(&mut self.store.rows[i].pending);
-        slots.sort_unstable();
-        slots.dedup();
+        let mut cand = std::mem::take(&mut self.cand_buf);
+        let mut obs = std::mem::take(&mut self.obs_buf);
+        let kind = self.refresh_kind(i, &mut cand, &mut obs);
+        self.obs_buf = obs;
         let mut recomputed = 0;
-        for &slot in &slots {
-            // Stale queue entries (already recomputed through the partner's
-            // row or a direct `sees` probe) are skipped by the dirty check.
-            let entry = self.store.entries[slot as usize];
-            if entry.dirty {
+        let mut recompute = |world: &mut World, slot: u32| {
+            let PairEntry { a, b, dirty, .. } = world.store.entries[slot as usize];
+            if dirty {
                 recomputed += 1;
-                let ans = answers.and_then(|s| s.get(entry.a as usize, entry.b as usize));
-                self.recompute_slot(slot, ans);
+                let ans = answers.and_then(|s| s.get(a as usize, b as usize));
+                world.recompute_slot(slot, ans);
+            }
+        };
+        let horizon = kind.horizon().map(|d| self.horizon_disc(i, d));
+        match (kind, horizon) {
+            (Refresh::Full, _) => {
+                for j in (0..n).filter(|&j| j != i) {
+                    let slot = self.store.slot_or_insert(i.min(j), i.max(j));
+                    recompute(self, slot);
+                }
+            }
+            (Refresh::Close { .. }, Some((center, radius))) => {
+                self.horizon_near_set(i, center, radius, &mut cand);
+                for &j in &cand {
+                    let slot = self.store.slot_or_insert(i.min(j), i.max(j));
+                    recompute(self, slot);
+                }
+            }
+            _ => {}
+        }
+        self.cand_buf = cand;
+        let mut slots = std::mem::take(&mut self.store.rows[i].pending);
+        if !matches!(kind, Refresh::Full) {
+            slots.sort_unstable();
+            slots.dedup();
+            for &slot in &slots {
+                // Stale queue entries (already recomputed through the
+                // partner's row or a direct `sees` probe) are skipped by
+                // the dirty check; under a horizon, so are unseen far pairs.
+                let entry = self.store.entries[slot as usize];
+                if pending_needs_recompute(&entry, self.centers[entry.partner(i)], horizon) {
+                    recompute(self, slot);
+                }
             }
         }
-        // Every dirty pair of an initialized row is queued, so the rest of
-        // the row was answered from the cache.
+        // Every pair not recomputed was answered from a clean entry or by
+        // the horizon.
         self.misses += recomputed;
         self.hits += (n - 1) as u64 - recomputed;
         slots.clear();
         let row = &mut self.store.rows[i];
         row.pending = slots;
         row.pending_compact_at = 0;
+        match (kind, horizon) {
+            (Refresh::Full, _) => row.state = RowState::Full,
+            (Refresh::Close { doublings }, Some((center, radius))) => {
+                row.state = RowState::Horizon { doublings };
+                row.horizon_gen = row.horizon_gen.wrapping_add(1);
+                let reg = Registration {
+                    slot: i as u32,
+                    gen: row.horizon_gen,
+                    horizon: true,
+                    certified: true,
+                };
+                let near = horizon_near_radius(radius);
+                let level = self.reg_level(2.0 * near);
+                self.register(reg, level, center, center, near);
+            }
+            _ => {}
+        }
     }
 
     /// The pairs the next [`Self::visible_of_into`] for robot `i` would
     /// recompute, **right now** (read-only; appended to `out` as `(a, b)`
-    /// endpoint pairs with `a < b`, deduplicated). This is the commutation
-    /// interface of the parallel executor: two Looks whose plans share no
-    /// pair recompute disjoint pair sets, so their kernel work can run
-    /// concurrently and commit in either order with identical results —
-    /// and since a robot's plan only ever contains its own pairs, two
-    /// plans can only share the one pair joining the two robots.
+    /// endpoint pairs with `a < b`, deduplicated) — exactly those, horizon
+    /// or not, so that batched Looks commit like serial ones. This is the
+    /// commutation interface of the parallel executor: two Looks whose
+    /// plans share no pair recompute disjoint pair sets, so their kernel
+    /// work can run concurrently and commit in either order with identical
+    /// results — and since a robot's plan only ever contains its own pairs,
+    /// two plans can only share the one pair joining the two robots.
     ///
     /// Valid until the next mutating call (a move dirties pairs and queues
     /// pending work; a refresh consumes it).
@@ -1017,26 +1330,42 @@ impl World {
         if self.mode == WorldMode::Scratch {
             return;
         }
-        if !self.store.rows[i].init {
-            for j in 0..self.len() {
-                if j == i {
-                    continue;
-                }
-                let (a, b) = if i < j { (i, j) } else { (j, i) };
-                match self.store.get(a, b) {
-                    Some(e) if !e.dirty => {}
-                    _ => out.push((a, b)),
-                }
+        let missing_or_dirty = |j: usize| {
+            let (a, b) = (i.min(j), i.max(j));
+            match self.store.get(a, b) {
+                Some(e) if !e.dirty => None,
+                _ => Some((a, b)),
             }
-            return;
-        }
-        // Mirror the refresh's drain: sorted, deduplicated, dirty-only.
+        };
+        let mut cand = Vec::new();
+        let kind = self.refresh_kind(i, &mut cand, &mut Vec::new());
+        let horizon = kind.horizon().map(|d| self.horizon_disc(i, d));
+        let closed = match (kind, horizon) {
+            (Refresh::Full, _) => {
+                out.extend(
+                    (0..self.len())
+                        .filter(|&j| j != i)
+                        .filter_map(missing_or_dirty),
+                );
+                return;
+            }
+            (Refresh::Close { .. }, Some((center, radius))) => {
+                self.horizon_near_set(i, center, radius, &mut cand);
+                out.extend(cand.iter().filter_map(|&j| missing_or_dirty(j)));
+                true
+            }
+            _ => false,
+        };
+        // Mirror the refresh's drain: sorted, deduplicated, dirty-only —
+        // minus the near field a closing refresh has just computed.
         let mut slots = self.store.rows[i].pending.clone();
         slots.sort_unstable();
         slots.dedup();
         for &slot in &slots {
             let e = &self.store.entries[slot as usize];
-            if e.dirty {
+            let partner = self.centers[e.partner(i)];
+            let computed = closed && horizon.is_some_and(|(c, r)| in_near_field(partner, c, r));
+            if !computed && pending_needs_recompute(e, partner, horizon) {
                 out.push((e.a as usize, e.b as usize));
             }
         }
@@ -1339,6 +1668,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fatrobots_geometry::visibility::strip_cover_blocked;
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -1711,6 +2041,163 @@ mod tests {
             "pending queues must stay bounded (worst {worst_pending})"
         );
         assert_matches_scratch(&mut w);
+    }
+
+    /// A jittered hex packing of `side²` robots at spacing 2.1: every robot
+    /// sees only its ring, and interior robots close a horizon.
+    fn hex_field(side: usize) -> Vec<Point> {
+        let spacing = 2.1;
+        let row_h = spacing * 3f64.sqrt() / 2.0;
+        let mut state = 0x5ca1ab1e_u64;
+        let mut jitter = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.02
+        };
+        (0..side * side)
+            .map(|i| {
+                let (row, col) = (i / side, i % side);
+                let stagger = if row % 2 == 1 { spacing / 2.0 } else { 0.0 };
+                p(
+                    col as f64 * spacing + stagger + jitter(),
+                    row as f64 * row_h + jitter(),
+                )
+            })
+            .collect()
+    }
+
+    /// Robot `i`'s visible set by the from-scratch definition, kept
+    /// affordable at n ≈ 1000 through the kernel's own contracts: each
+    /// pair gets the obstacles within the pruning radius of its chord
+    /// (which makes it exactly `disc_sees_disc`), and the sound exact
+    /// strip cover answers blocked pairs before the witness search.
+    fn scratch_visible(centers: &[Point], i: usize) -> Vec<usize> {
+        let vis = VisibilityConfig::default();
+        (0..centers.len())
+            .filter(|&j| {
+                if j == i {
+                    return false;
+                }
+                let (a, b) = (i.min(j), i.max(j));
+                let chord = Segment::new(centers[a], centers[b]);
+                let obs: Vec<Point> = centers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, &c)| {
+                        k != a && k != b && chord.distance_to(c) <= VISIBILITY_PRUNE_RADIUS
+                    })
+                    .map(|(_, &c)| c)
+                    .collect();
+                !strip_cover_blocked(centers[a], centers[b], &obs)
+                    && disc_sees_disc_among(centers[a], centers[b], &obs, &vis)
+            })
+            .collect()
+    }
+
+    /// A Look of robot `i` checked against everything the horizon must
+    /// keep: the visible set equals scratch, the plan lists exactly the
+    /// pairs the refresh recomputes, and every pair counts once.
+    fn checked_look(w: &mut World, i: usize) -> Vec<usize> {
+        let mut plan = Vec::new();
+        w.look_plan(i, &mut plan);
+        let (hits, misses) = w.cache_stats();
+        let visible = w.visible_of(i);
+        let (hits_after, misses_after) = w.cache_stats();
+        assert_eq!(
+            misses_after - misses,
+            plan.len() as u64,
+            "robot {i}: the plan must list exactly the recomputed pairs"
+        );
+        for &(a, b) in &plan {
+            assert!(!w.store.get(a, b).expect("planned pair stored").dirty);
+        }
+        assert_eq!(
+            hits_after - hits + misses_after - misses,
+            w.len() as u64 - 1,
+            "robot {i}: every pair of a Look counts once"
+        );
+        assert_eq!(visible, scratch_visible(w.centers(), i), "robot {i}");
+        visible
+    }
+
+    /// The generation of robot `i`'s live horizon, if it has one.
+    fn live_horizon(w: &World, i: usize) -> Option<u32> {
+        let row = &w.store.rows[i];
+        matches!(row.state, RowState::Horizon { .. }).then_some(row.horizon_gen)
+    }
+
+    #[test]
+    fn horizon_rows_match_scratch_through_scripted_moves() {
+        let side = 32;
+        let mut w = world(hex_field(side));
+        let at = |row: usize, col: usize| row * side + col;
+        let i = at(16, 16);
+        let home = |w: &World, k: usize| w.center(k);
+
+        // A cold Look closes a horizon: only the near field is stored.
+        let ring = checked_look(&mut w, i);
+        let first = live_horizon(&w, i).expect("an interior robot closes a horizon");
+        assert!(w.pair_store_stats().0 < 200, "far pairs must get no entry");
+
+        // In-drift oscillation of a neighbour and of the robot itself
+        // keeps the horizon live.
+        let (k, ck, ci) = (ring[0], home(&w, ring[0]), home(&w, i));
+        for (m, to) in [
+            (k, p(ck.x + 0.02, ck.y)),
+            (i, p(ci.x, ci.y - 0.02)),
+            (k, ck),
+            (i, ci),
+        ] {
+            w.move_robot(m, to);
+            checked_look(&mut w, i);
+            assert_eq!(live_horizon(&w, i), Some(first), "in-drift moves keep it");
+        }
+
+        // A near robot leaving the horizon disc dirties it.
+        let near = at(18, 17);
+        let hole = home(&w, near);
+        w.move_robot(near, p(-40.0, -40.0));
+        assert_eq!(live_horizon(&w, i), None, "a near robot left");
+        checked_look(&mut w, i);
+        let second = live_horizon(&w, i).expect("the ring still closes");
+
+        // A far robot entering the disc dirties it too.
+        w.move_robot(at(0, 0), hole);
+        assert_eq!(live_horizon(&w, i), None, "a far robot arrived");
+        checked_look(&mut w, i);
+        assert!(live_horizon(&w, i).is_some_and(|g| g != second));
+
+        // Open robot i's row to the right (a channel to its far end f):
+        // f's full row stores the pair (i, f) as seen.
+        let f = at(16, side - 1);
+        let channel: Vec<(usize, Point)> = (17..side - 1)
+            .map(|col| (at(16, col), home(&w, at(16, col))))
+            .collect();
+        for (n, &(m, _)) in channel.iter().enumerate() {
+            w.move_robot(m, p(-60.0 - 3.0 * n as f64, -60.0));
+        }
+        assert!(
+            checked_look(&mut w, f).contains(&i),
+            "f sees i down the channel"
+        );
+        // Closing the channel dirties (i, f); robot i's next Look closes a
+        // horizon, under which that stale seen entry must not leak.
+        let (m, back) = channel[0];
+        w.move_robot(m, back);
+        assert!(
+            w.store.rows[i].adj.contains(&(f as u32)),
+            "stale seen entry"
+        );
+        assert!(!checked_look(&mut w, i).contains(&f));
+        assert!(live_horizon(&w, i).is_some(), "the refilled channel closes");
+        assert!(!w.store.rows[i].adj.contains(&(f as u32)));
+        checked_look(&mut w, f);
+
+        // Reopening it makes the horizon refuse: the full row sees f.
+        w.move_robot(m, p(-100.0, -60.0));
+        assert!(checked_look(&mut w, i).contains(&f));
+        assert_eq!(w.store.rows[i].state, RowState::Full);
     }
 
     #[test]

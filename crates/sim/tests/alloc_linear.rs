@@ -2,7 +2,10 @@
 //! come close to quadrupling-squared the heap. A world that materialized
 //! the Θ(n²) pair triangle eagerly would fail this test's ratio gate by an
 //! order of magnitude; the sparse store must stay linear in n plus the
-//! pairs actually computed.
+//! pairs actually computed. In the hex packing below the interior mover
+//! closes an occlusion horizon, so its row stores only the near field and
+//! its far pairs are never computed; the mover on the packing's edge can
+//! close none and computes its full row.
 //!
 //! This integration test owns its binary, so it can install a counting
 //! global allocator without affecting any other suite.

@@ -235,6 +235,61 @@ fn parallel_executor_replays_identically_across_the_matrix() {
     );
 }
 
+/// The parallel-executor pin where Looks close occlusion horizons: in a
+/// 400-robot hex packing under the seeded random-async schedule, a batched
+/// Look's recompute plan is a fresh horizon's near field (or, for a robot
+/// on the packing's edge, its full row), and the batch must still commit
+/// exactly like the serial loop — event stream, centers, outcome and the
+/// pair-cache telemetry.
+#[test]
+fn parallel_executor_replays_horizon_looks_identically() {
+    let n = 400;
+    let run = |threads| {
+        let seed = 3;
+        let mut sim = Simulator::new(
+            Shape::Hex.generate(n, seed),
+            StrategyKind::Paper.build(n),
+            AdversaryKind::RandomAsync.build(seed, n),
+            SimConfig {
+                max_events: 400,
+                record_trace: true,
+                threads,
+                ..SimConfig::default()
+            },
+        );
+        let outcome = sim.run();
+        let telemetry = (sim.visibility_cache_stats(), sim.pair_store_stats());
+        (
+            outcome,
+            sim.centers().to_vec(),
+            sim.trace().events().to_vec(),
+            telemetry,
+        )
+    };
+    let serial = run(1);
+    let parallel = run(4);
+    assert_eq!(parallel.2, serial.2, "parallel event stream diverged");
+    assert_eq!(parallel.1, serial.1, "parallel final centers diverged");
+    assert_eq!(parallel.0, serial.0, "parallel run outcome diverged");
+    assert_eq!(
+        parallel.3, serial.3,
+        "parallel pair-cache telemetry diverged"
+    );
+    // The horizons must actually fire: full rows would recompute nearly
+    // all n − 1 pairs at every Look after a move; here only interior
+    // robots close a horizon, the rest of the packing is near its edge.
+    let looks = serial
+        .2
+        .iter()
+        .filter(|e| matches!(e, fatrobots::scheduler::Event::Look(_)))
+        .count() as u64;
+    let ((_, misses), _) = serial.3;
+    assert!(
+        misses < looks * (n as u64 - 1) / 2,
+        "{misses} pair recomputes over {looks} Looks: the horizon never fired"
+    );
+}
+
 /// Same pin with the decision cache disabled: speculation is off (it rides
 /// on the memoization contract), so this isolates pure commutation
 /// batching against the uncached serial reference.
