@@ -20,8 +20,8 @@
 use std::process::ExitCode;
 
 use fatrobots_bench::{
-    diff_against_baseline, json, print_table, report_json, SupervisionReport,
-    BASELINE_EVENTS_THRESHOLD, QUICK_SEEDS, STANDARD_SEEDS,
+    diff_against_baseline, print_table, report_json, SupervisionReport, BASELINE_EVENTS_THRESHOLD,
+    QUICK_SEEDS, STANDARD_SEEDS,
 };
 use fatrobots_sim::checkpoint::{write_atomic, CheckpointedSweep};
 use fatrobots_sim::experiment::{
@@ -30,6 +30,7 @@ use fatrobots_sim::experiment::{
     LARGE_N_EVENT_CAP, PROGRESS_EVERY_DEFAULT,
 };
 use fatrobots_sim::fuzz::{self, FuzzConfig, FuzzReport};
+use fatrobots_sim::json::{self, JsonValue};
 use fatrobots_sim::sweep::{self, SupervisionPolicy, SweepPool};
 
 const USAGE: &str = "\
@@ -423,52 +424,13 @@ fn run_fuzz(cli: &Cli) -> ExitCode {
 }
 
 /// The fuzz telemetry document (`report fuzz --json`): campaign counters
-/// plus every shrunk finding, schema-versioned alongside the table report.
+/// plus every shrunk finding as its fixture record, schema-versioned
+/// alongside the table report.
 fn fuzz_json(config: &FuzzConfig, report: &FuzzReport) -> String {
-    use json::JsonValue;
-    let findings: Vec<JsonValue> = report
+    let findings = report
         .findings
         .iter()
-        .map(|finding| {
-            let spec = &finding.spec;
-            JsonValue::Obj(vec![
-                ("origin".into(), JsonValue::Str(finding.origin.into())),
-                ("shape".into(), JsonValue::Str(spec.shape.name().into())),
-                (
-                    "adversary".into(),
-                    JsonValue::Str(spec.adversary.name().into()),
-                ),
-                (
-                    "fault_k".into(),
-                    JsonValue::Int(spec.adversary.fault_k() as i64),
-                ),
-                ("n".into(), JsonValue::Int(spec.n as i64)),
-                ("seed".into(), JsonValue::Int(spec.seed as i64)),
-                ("max_events".into(), JsonValue::Int(spec.max_events as i64)),
-                (
-                    "shrink_steps".into(),
-                    JsonValue::Int(finding.shrink_steps as i64),
-                ),
-                (
-                    "census".into(),
-                    JsonValue::Obj(vec![
-                        ("gathered".into(), JsonValue::Bool(finding.census.gathered)),
-                        (
-                            "terminated".into(),
-                            JsonValue::Bool(finding.census.terminated),
-                        ),
-                        (
-                            "events".into(),
-                            JsonValue::Int(finding.census.events as i64),
-                        ),
-                        (
-                            "distance_bits".into(),
-                            JsonValue::Int(finding.census.distance_bits as i64),
-                        ),
-                    ]),
-                ),
-            ])
-        })
+        .map(|finding| finding.fixture().to_record())
         .collect();
     JsonValue::Obj(vec![
         (
@@ -561,7 +523,8 @@ fn main() -> ExitCode {
                     // after minutes of table building.
                     if !fatrobots_bench::report_supported(&doc) {
                         eprintln!(
-                            "report: baseline '{path}' has a missing or unsupported schema_version"
+                            "report: baseline '{path}' is not a table report: missing or \
+                             unsupported schema_version, no tables array, or fuzz telemetry"
                         );
                         return ExitCode::FAILURE;
                     }

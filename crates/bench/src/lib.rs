@@ -4,20 +4,18 @@
 //! regenerates the experiment tables (see `report --help` and the README's
 //! `report` section). The actual experiment logic
 //! lives in [`fatrobots_sim::experiment`] (with the parallel dispatch in
-//! [`fatrobots_sim::sweep`]); this crate provides the table printer, the
-//! hand-rolled [`json`] layer, and the `bench_report.json` serializer so
-//! every bench and the report emit exactly the same rows.
+//! [`fatrobots_sim::sweep`]); this crate provides the table printer and the
+//! `bench_report.json` serializer (over [`fatrobots_sim::json`]) so every
+//! bench and the report emit exactly the same rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
-
 use fatrobots_geometry::kernel::shadow::PredicateSite;
 use fatrobots_sim::checkpoint::CheckpointTelemetry;
 use fatrobots_sim::experiment::{AggregateRow, ExperimentTable, RunSummary};
+use fatrobots_sim::json::JsonValue;
 use fatrobots_sim::sweep::SweepFailure;
-use json::JsonValue;
 
 /// The seeds used by the standard experiment tables. Keeping them in one
 /// place makes `cargo bench` and `report` reproduce the same numbers.
@@ -26,95 +24,39 @@ pub const STANDARD_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
 /// A smaller seed set for the expensive sweeps.
 pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 
-/// The `schema_version` stamped into `bench_report.json`. Bump on any
-/// breaking change to the report layout.
+/// The `schema_version` stamped into `bench_report.json`, and the only one
+/// its readers accept (see [`report_supported`]). Bump on any change to the
+/// report layout. What each version added:
 ///
-/// * **v1** — initial layout (tables → groups → aggregate + runs).
-/// * **v2** — per-run records additionally carry
-///   `visibility_cache_hits` / `visibility_cache_misses` (the world's
-///   pair-cache telemetry: every pair of every Look, and every direct
-///   `World::sees` probe, counts once — a hit when it was answered
-///   without a computation (a clean stored entry, or a far pair answered
-///   by the row's occlusion horizon), a miss when it had to be
-///   (re)computed; both 0 under
-///   `WorldMode::Scratch`). v2 is a pure field addition: every v1
-///   key is still present with the same meaning, and readers written
-///   against v1 keep working — see [`report_supported`].
-/// * **v3** — per-run records additionally carry the output-sensitive
-///   event-loop telemetry: `decision_cache_hits` / `decision_cache_misses`
-///   (Compute events replayed from the per-robot decision memo vs. run
-///   through the pipeline) and `hull_repairs` / `hull_rebuilds` (world hull
-///   refreshes served by the single-mover in-place repair vs. full
-///   rebuilds). Again a pure field addition; v1 and v2 readers keep
-///   working, and [`diff_against_baseline`] happily diffs a v2 baseline
-///   against v3 tables (it only reads aggregate fields present since v1).
-/// * **v4** — shadow-oracle telemetry. Per-run records carry a `shadow` key:
-///   `null` when the run did not request the exact-arithmetic shadow oracle
-///   (`report --shadow`), otherwise an object with the oracle's tallies
-///   (`computes`, `divergent`, `predicate_flips`, per-site counters and the
-///   `first_divergence` record). Aggregate rows carry `shadow_divergent` /
-///   `shadow_flips` totals (`null` without the oracle). Another pure field
-///   addition; [`diff_against_baseline`] applies its shadow-divergence rule
-///   only when *both* sides carry the counters, so v1–v3 baselines keep
-///   diffing cleanly against v4 tables.
-/// * **v5** — pair-store telemetry. Per-run records additionally carry
-///   `world_pair_entries` / `world_pair_registrations`: the visibility
-///   pair-store size at the end of the run (the pairs actually computed —
-///   at most n(n−1)/2, reached once every robot has Looked) and its
-///   corridor-registration count (live ones plus dead ones not yet
-///   compacted); both 0 under `WorldMode::Scratch`. A pure field addition;
-///   v1–v4 baselines keep diffing cleanly against v5 tables.
-/// * **v6** — parallel-executor telemetry. The document root carries a
-///   `threads` key (the `--threads` value every run executed with, 1 =
-///   serial loop), and per-run records carry `threads` plus the executor's
-///   counters: `par_batches` / `par_batched_events` (commutation batches
-///   committed and the events inside multi-event batches) and
-///   `speculation_hits` / `speculation_aborts` (speculative Compute
-///   decisions consumed vs. discarded at version validation). All zero for
-///   serial runs. The parallel executor is pinned event-for-event identical
-///   to serial, so every *other* field is independent of `threads` — which
-///   is exactly what lets [`diff_against_baseline`] compare a `--threads 4`
-///   report against a serial baseline. A pure field addition; v1–v5
-///   baselines keep diffing cleanly against v6 tables.
-/// * **v7** — fault-injection telemetry. Per-run records carry the fault
-///   adversaries' counters: `fault_crashed_robots` (victims permanently
-///   crash-stopped by the schedule), `fault_starved_directives`
-///   (activations granted to non-victims while a persistent-sleep window
-///   starved its victims) and `fault_truncated_directives` (directives a
-///   slow coalition truncated to the δ minimum). All zero under fault-free
-///   adversaries; the E4 table also gains the three fault-adversary rows.
-///   v7 additionally introduces the *fuzz telemetry* document
-///   (`report fuzz --json`): a sibling format with `"mode": "fuzz"`,
-///   campaign counters and the shrunk findings — baseline diffing only
-///   ever reads table documents. A pure field addition; v1–v6 baselines
-///   keep diffing cleanly against v7 tables.
-/// * **v8** — supervised-execution telemetry. The document root carries a
-///   `supervision` object: the `fail_fast` switch, the total `retries`
-///   spent re-running panicked workers, a `failures` array (one structured
-///   row per run that kept failing after its bounded retries — the spec
-///   fields plus the panic `message`, `attempts` count and `quarantined`
-///   flag), and `checkpoint` — `null` without `--checkpoint-dir`,
-///   otherwise the crash-safe journal's counters (`resumed_rows`,
-///   `replayed_events`, `journal_records`, `recovered_records`,
-///   `dropped_bytes`, `write_errors`). Sweeps are deterministic, so the
-///   checkpoint counters are the *only* keys that may differ between an
-///   uninterrupted sweep and a killed-and-resumed one; the CI
-///   `kill-resume` gate diffs the two documents modulo exactly those
-///   lines. A pure field addition; v1–v7 baselines keep diffing cleanly
-///   against v8 tables.
+/// * **v1** — the layout: tables → groups → aggregate + runs.
+/// * **v2** — per-run `visibility_cache_hits` / `visibility_cache_misses`.
+/// * **v3** — per-run `decision_cache_hits` / `decision_cache_misses` and
+///   `hull_repairs` / `hull_rebuilds`.
+/// * **v4** — per-run `shadow` records and aggregate `shadow_divergent` /
+///   `shadow_flips` (`null` without `report --shadow`).
+/// * **v5** — per-run `world_pair_entries` / `world_pair_registrations`.
+/// * **v6** — root and per-run `threads`, per-run `par_batches` /
+///   `par_batched_events` / `speculation_hits` / `speculation_aborts`.
+/// * **v7** — per-run `fault_crashed_robots` / `fault_starved_directives` /
+///   `fault_truncated_directives`, and the `"mode": "fuzz"` telemetry
+///   document of `report fuzz --json`.
+/// * **v8** — the root `supervision` object: `fail_fast`, `retries`,
+///   structured `failures` rows and the `checkpoint` journal counters (the
+///   only keys that differ between an uninterrupted and a killed-and-resumed
+///   sweep).
+///
+/// The README's "`bench_report.json` schema" section documents every key.
 pub const REPORT_SCHEMA_VERSION: i64 = 8;
 
-/// The oldest `schema_version` current tooling still reads.
-pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 1;
-
-/// `true` when a parsed `bench_report.json` document carries a schema
-/// version this crate's readers understand (v1 documents simply lack the
-/// cache-telemetry fields; lookups for them return `None`).
+/// `true` when a parsed document is a table report this crate's readers
+/// understand: `schema_version` is [`REPORT_SCHEMA_VERSION`], it carries a
+/// `tables` array, and it is not the `"mode": "fuzz"` telemetry document. A
+/// document without tables would turn every row into "(new row, no
+/// baseline)" and so could never fail the baseline gate.
 pub fn report_supported(doc: &JsonValue) -> bool {
-    matches!(
-        doc.get("schema_version"),
-        Some(&JsonValue::Int(v)) if (REPORT_SCHEMA_MIN_SUPPORTED..=REPORT_SCHEMA_VERSION).contains(&v)
-    )
+    doc.get("schema_version") == Some(&JsonValue::Int(REPORT_SCHEMA_VERSION))
+        && doc.get("tables").and_then(JsonValue::as_arr).is_some()
+        && doc.get("mode").and_then(JsonValue::as_str) != Some("fuzz")
 }
 
 /// Relative `mean_events` increase beyond which a baseline comparison
@@ -162,8 +104,7 @@ fn baseline_aggregate<'a>(doc: &'a JsonValue, id: &str, label: &str) -> Option<&
 /// are compared: any drop in the gathered rate is a regression, and a
 /// relative increase of `mean_events` beyond `events_threshold` is a
 /// regression. Rows absent from the baseline are reported as new and never
-/// regress. Returns `Err` for documents whose schema this crate cannot
-/// read.
+/// regress. Returns `Err` for documents [`report_supported`] rejects.
 pub fn diff_against_baseline(
     tables: &[ExperimentTable],
     baseline: &JsonValue,
@@ -171,7 +112,7 @@ pub fn diff_against_baseline(
 ) -> Result<BaselineDiff, String> {
     if !report_supported(baseline) {
         return Err(format!(
-            "baseline schema_version is missing or unsupported (this build reads {REPORT_SCHEMA_MIN_SUPPORTED}..={REPORT_SCHEMA_VERSION})"
+            "baseline is not a v{REPORT_SCHEMA_VERSION} table report (missing or unsupported schema_version, no tables array, or fuzz telemetry)"
         ));
     }
     let mut text = String::new();
@@ -601,6 +542,7 @@ pub fn report_json(
 mod tests {
     use super::*;
     use fatrobots_sim::experiment::{scaling_table, RunSpec};
+    use fatrobots_sim::json;
 
     #[test]
     fn seeds_are_distinct() {
@@ -840,7 +782,7 @@ mod tests {
 
         // Baseline with a lower divergence count: a regression.
         let stricter = json::parse(
-            r#"{"schema_version": 4, "tables": [
+            r#"{"schema_version": 8, "tables": [
                  {"id": "e1", "groups": [
                    {"label": "n=3", "aggregate":
                       {"gathered_rate": 0.0, "mean_events": 1e9,
@@ -860,47 +802,29 @@ mod tests {
         );
         assert!(diff.text.contains("shadow-divergence REGRESSION"));
 
-        // A v3-era baseline without the counters never trips the gate,
-        // whatever the fresh tables carry.
-        let v3 = json::parse(&format!(
-            r#"{{"schema_version": 3, "tables": [
+        // A baseline written without --shadow carries `shadow_divergent:
+        // null`: one-sided counters never trip the gate, whatever the fresh
+        // tables carry.
+        let unshadowed = json::parse(&format!(
+            r#"{{"schema_version": 8, "tables": [
                  {{"id": "e1", "groups": [
                    {{"label": "n=3", "aggregate":
-                      {{"gathered_rate": {g}, "mean_events": {e}}}}}]}}]}}"#,
+                      {{"gathered_rate": {g}, "mean_events": {e},
+                        "shadow_divergent": null}}}}]}}]}}"#,
             g = row.gathered_rate,
             e = row.mean_events,
         ))
         .unwrap();
-        let diff =
-            diff_against_baseline(std::slice::from_ref(&table), &v3, BASELINE_EVENTS_THRESHOLD)
-                .unwrap();
+        let diff = diff_against_baseline(
+            std::slice::from_ref(&table),
+            &unshadowed,
+            BASELINE_EVENTS_THRESHOLD,
+        )
+        .unwrap();
         assert_eq!(diff.regressions, 0, "one-sided counters must not gate");
-        let _ = divergent;
-    }
-
-    #[test]
-    fn v2_baselines_diff_cleanly_against_v3_tables() {
-        // The CI gate's compatibility story: a baseline written by the v2
-        // code (no decision-cache or hull fields anywhere) must still be
-        // accepted and diffed against freshly computed v3 tables.
-        let table = scaling_table(&[3], &[1], 1);
-        let row = table.rows().remove(0);
-        let v2 = json::parse(&format!(
-            r#"{{"schema_version": 2, "tables": [
-                 {{"id": "e1", "groups": [
-                   {{"label": "{label}", "aggregate":
-                      {{"gathered_rate": {g}, "mean_events": {e}}}}}]}}]}}"#,
-            label = row.label,
-            g = row.gathered_rate,
-            e = row.mean_events,
-        ))
-        .unwrap();
-        assert!(report_supported(&v2));
-        let diff =
-            diff_against_baseline(std::slice::from_ref(&table), &v2, BASELINE_EVENTS_THRESHOLD)
-                .expect("v2 baselines stay readable");
-        assert_eq!(diff.regressions, 0, "identical rows cannot regress");
-        assert!(diff.text.contains("e1/n=3"));
+        assert!(diff
+            .text
+            .contains(&format!("shadow-div new -> {divergent}")));
     }
 
     #[test]
@@ -932,7 +856,7 @@ mod tests {
         let row = table.rows().remove(0);
         // A fabricated "better" baseline: everything gathered instantly.
         let better = json::parse(&format!(
-            r#"{{"schema_version": 2, "tables": [
+            r#"{{"schema_version": 8, "tables": [
                  {{"id": "e1", "groups": [
                    {{"label": "{label}", "aggregate":
                       {{"gathered_rate": {g}, "mean_events": {e}}}}}]}}]}}"#,
@@ -955,7 +879,7 @@ mod tests {
         assert!(diff.text.contains("REGRESSION"));
 
         // Rows the baseline does not know are reported but never regress.
-        let empty = json::parse(r#"{"schema_version": 2, "tables": []}"#).unwrap();
+        let empty = json::parse(r#"{"schema_version": 8, "tables": []}"#).unwrap();
         let diff = diff_against_baseline(
             std::slice::from_ref(&table),
             &empty,
@@ -965,47 +889,28 @@ mod tests {
         assert_eq!(diff.regressions, 0);
         assert!(diff.text.contains("new row"));
 
-        // Unsupported schemas are an error, not a silent pass.
-        let future = json::parse(r#"{"schema_version": 99}"#).unwrap();
-        assert!(diff_against_baseline(
-            std::slice::from_ref(&table),
-            &future,
-            BASELINE_EVENTS_THRESHOLD
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn v1_documents_still_parse_and_are_supported() {
-        // A trimmed v1-era report: no cache-telemetry fields anywhere.
-        let v1 = r#"{
-          "schema_version": 1,
-          "generator": "fatrobots-bench report",
-          "quick": true,
-          "jobs": 2,
-          "tables": [
-            { "id": "e1", "title": "E1", "groups": [
-              { "label": "n=3",
-                "aggregate": { "label": "n=3", "runs": 1, "gathered_rate": 1.0 },
-                "runs": [ { "n": 3, "seed": 1, "gathered": true, "events": 37 } ] }
-            ] }
-          ]
-        }"#;
-        let doc = json::parse(v1).expect("v1 report parses");
-        assert!(report_supported(&doc));
-        let run = doc.get("tables").and_then(JsonValue::as_arr).unwrap()[0]
-            .get("groups")
-            .and_then(JsonValue::as_arr)
-            .unwrap()[0]
-            .get("runs")
-            .and_then(JsonValue::as_arr)
-            .unwrap()[0]
-            .clone();
-        assert_eq!(run.get("events"), Some(&JsonValue::Int(37)));
-        // The v2-only fields are simply absent in a v1 record.
-        assert!(run.get("visibility_cache_hits").is_none());
-        // Unknown future versions are flagged as unsupported.
-        let future = json::parse(r#"{"schema_version": 99}"#).unwrap();
-        assert!(!report_supported(&future));
+        // Unsupported documents are an error, not a silent pass: another
+        // schema version, a v8 document without a tables array, and the
+        // fuzz telemetry document (which would otherwise turn every row
+        // into "new row" and never regress).
+        for future in [
+            r#"{"schema_version": 99}"#,
+            r#"{"schema_version": 7, "tables": []}"#,
+            r#"{"schema_version": 8}"#,
+            r#"{"schema_version": 8, "mode": "fuzz", "findings": []}"#,
+            r#"{"schema_version": 8, "mode": "fuzz", "tables": []}"#,
+        ] {
+            let doc = json::parse(future).unwrap();
+            assert!(!report_supported(&doc), "{future} must be rejected");
+            assert!(
+                diff_against_baseline(
+                    std::slice::from_ref(&table),
+                    &doc,
+                    BASELINE_EVENTS_THRESHOLD
+                )
+                .is_err(),
+                "{future} must not pass the gate"
+            );
+        }
     }
 }

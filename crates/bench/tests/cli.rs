@@ -3,7 +3,7 @@
 
 use std::process::{Command, Output};
 
-use fatrobots_bench::json::{self, JsonValue};
+use fatrobots_sim::json::{self, JsonValue};
 
 fn report(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_report"))
@@ -257,8 +257,9 @@ fn fuzz_smoke_rediscovers_the_committed_pilot_fixture() {
         .unwrap();
     assert_eq!(findings.len(), 1);
     assert_eq!(
-        findings[0].get("census").and_then(|c| c.get("gathered")),
-        Some(&JsonValue::Bool(false))
+        findings[0],
+        json::parse(&std::fs::read_to_string(&committed).unwrap()).unwrap(),
+        "a telemetry finding is the fixture record, fixture_schema included"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -409,7 +410,7 @@ fn baseline_self_diff_passes_and_regressions_fail() {
     let fabricated = dir.join(format!("bench_baseline_fab_{}.json", std::process::id()));
     std::fs::write(
         &fabricated,
-        r#"{"schema_version": 2, "tables": [
+        r#"{"schema_version": 8, "tables": [
              {"id": "e7", "groups": [
                {"label": "circle",
                 "aggregate": {"gathered_rate": 2.0, "mean_events": 0.5}}]}]}"#,
@@ -442,7 +443,7 @@ fn baseline_threshold_widens_the_events_gate() {
     let fabricated = dir.join(format!("bench_threshold_cli_{}.json", std::process::id()));
     std::fs::write(
         &fabricated,
-        r#"{"schema_version": 3, "tables": [
+        r#"{"schema_version": 8, "tables": [
              {"id": "e7", "groups": [
                {"label": "circle",
                 "aggregate": {"gathered_rate": 0.0, "mean_events": 0.5}}]}]}"#,
@@ -520,6 +521,23 @@ fn baseline_errors_are_reported_before_any_sweep() {
         .contains("unsupported schema_version"));
     assert!(out.stdout.is_empty(), "no tables may run on a bad baseline");
     let _ = std::fs::remove_file(&future);
+
+    // Fuzz telemetry has no tables: as a baseline it would report every row
+    // as new and never fail, so it is rejected like an unknown schema.
+    let fuzz_doc =
+        std::env::temp_dir().join(format!("bench_baseline_fuzz_{}.json", std::process::id()));
+    std::fs::write(
+        &fuzz_doc,
+        r#"{"schema_version": 8, "mode": "fuzz", "findings": []}"#,
+    )
+    .unwrap();
+    let out = report(&["--quick", "--e7", "--baseline", fuzz_doc.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("fuzz telemetry"));
+    assert!(out.stdout.is_empty(), "no tables may run on a bad baseline");
+    let _ = std::fs::remove_file(&fuzz_doc);
 
     // --baseline without a value is a usage error.
     let out = report(&["--baseline"]);

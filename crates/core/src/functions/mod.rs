@@ -4,9 +4,9 @@
 //!
 //! | Paper §  | Function                | Module |
 //! |----------|-------------------------|--------|
-//! | 3.1      | `On-Convex-Hull`        | [`on_convex_hull`] |
-//! | 3.2      | `Move-to-Point`         | [`move_to_point`] |
-//! | 3.3      | `Find-Points`           | [`find_points`] |
+//! | 3.1      | `On-Convex-Hull`        | [`on_convex_hull`](mod@on_convex_hull) |
+//! | 3.2      | `Move-to-Point`         | [`move_to_point`](mod@move_to_point) |
+//! | 3.3      | `Find-Points`           | [`find_points`](mod@find_points) |
 //! | 3.4      | `Connected-Components`  | [`components`] |
 //! | 3.5      | `How-Much-Distance`     | [`components`] |
 //! | 3.6      | `In-Largest-Component`  | [`components`] |

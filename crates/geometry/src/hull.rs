@@ -312,7 +312,7 @@ impl ConvexHull {
     /// retained from the last rebuild (or repair) of **this** hull.
     ///
     /// The sorted chain input is patched by a delete + insert (the sorted
-    /// sequence of a multiset is unique under [`point_order`], so the patch
+    /// sequence of a multiset is unique under `point_order`, so the patch
     /// is exactly what re-sorting would produce), the monotone chain is
     /// re-run in O(n), and — in the common case where the corner polygon
     /// comes out unchanged — the boundary ordering is patched the same way:

@@ -567,7 +567,7 @@ const SOA_FILTER_SLACK: f64 = 1.0 + 1e-9;
 /// the compiler can vectorize it; a scalar tail handles the remainder. The
 /// accepted set is a superset of
 /// `{k : Segment::distance_sq_to((xs[k], ys[k])) <= radius²}` (see
-/// [`SOA_FILTER_SLACK`]), so feeding it to [`disc_sees_disc_among`] with
+/// `SOA_FILTER_SLACK`), so feeding it to [`disc_sees_disc_among`] with
 /// `radius = VISIBILITY_PRUNE_RADIUS` yields exactly the exhaustive
 /// answer.
 ///
@@ -693,7 +693,7 @@ const STRIP_COVER_MAX_VERTS: usize = 24;
 ///
 /// An obstacle at `(t_k, o_k)` with `u = t_k/T` *blocks* every line whose
 /// axial offset difference satisfies `|a(1−u) + b·u − o_k| ≤ hw`
-/// (`hw = UNIT_RADIUS − `[`STRIP_COVER_SAFETY`]): the perpendicular
+/// (`hw = UNIT_RADIUS − ``STRIP_COVER_SAFETY`): the perpendicular
 /// distance is the axial difference divided by `√(1+s²)`, hence ≤ hw,
 /// strictly inside the kernel's blocking distance
 /// `UNIT_RADIUS + clearance/2`. Restricting to obstacles with
@@ -716,7 +716,7 @@ const STRIP_COVER_MAX_VERTS: usize = 24;
 /// the fast path cannot flip an answer. For `true` to be sound despite
 /// floating point: a genuinely clear witness line keeps axial distance
 /// `> UNIT_RADIUS` from every usable obstacle, so its `(a, b)` point sits
-/// at distance ≥ [`STRIP_COVER_SAFETY`] from every (narrowed) strip — an
+/// at distance ≥ `STRIP_COVER_SAFETY` from every (narrowed) strip — an
 /// uncovered ball that survives the ~1e-13 absolute clipping error. The
 /// clipping itself uses closed half-planes, so measure-zero slivers are
 /// retained, and the routine gives up (returns `false`) rather than drop
@@ -939,7 +939,7 @@ const HORIZON_PROBES: usize = 16;
 
 /// Absolute slack added to every per-bin interval bound, covering the
 /// rounding of the bin frame (`cos`/`sin` of the bin midpoint) and of the
-/// dot products — orders of magnitude below [`STRIP_COVER_SAFETY`].
+/// dot products — orders of magnitude below `STRIP_COVER_SAFETY`.
 const HORIZON_BOUND_SLACK: f64 = 1e-9;
 
 /// Drift-stable **occlusion horizon** of a robot around `center`: when
@@ -969,7 +969,7 @@ const HORIZON_BOUND_SLACK: f64 = 1e-9;
 ///
 /// An obstacle at offset `w` from `center` has axial position `a = w·u`
 /// and offset `o = w·n`. When `a ∈ [1 + 2ρ, R − ρ]` and
-/// `|o − d| ≤ hw = 1 − ρ − `[`STRIP_COVER_SAFETY`], the drifted obstacle
+/// `|o − d| ≤ hw = 1 − ρ − ``STRIP_COVER_SAFETY`, the drifted obstacle
 /// (moved at most ρ) keeps axial position in `[1 + ρ, R]` — so the foot of
 /// its perpendicular lands on the segment — and perpendicular distance
 /// `≤ 1 − STRIP_COVER_SAFETY`, strictly inside the kernel's blocking
@@ -985,13 +985,13 @@ const HORIZON_BOUND_SLACK: f64 = 1e-9;
 /// # Sound bins
 ///
 /// The cover is checked per φ-bin of half-width `h`: over the bin, `a` and
-/// `o` stay within `|w|·h` (plus [`HORIZON_BOUND_SLACK`]) of their values
+/// `o` stay within `|w|·h` (plus `HORIZON_BOUND_SLACK`) of their values
 /// at the bin midpoint, so an obstacle whose axial range fits the window
 /// covers the `d`-interval `[o_max − hw, o_min + hw]` for the **whole**
 /// bin. A bin whose intervals cover `[−D, D]` is closed; an open bin is
-/// halved (up to [`HORIZON_MAX_SPLITS`] times) before the certificate
+/// halved (up to `HORIZON_MAX_SPLITS` times) before the certificate
 /// gives up. An O(k) precheck first asks the exact bands to cover three
-/// lines (`d = −D, 0, D`) in each of [`HORIZON_PROBES`] directions — a
+/// lines (`d = −D, 0, D`) in each of `HORIZON_PROBES` directions — a
 /// necessary condition (a hull vertex, say, fails it at once), so it only
 /// ever skips certificates that could not close. `false` never means
 /// "visible": callers fall back to computing the pairs.

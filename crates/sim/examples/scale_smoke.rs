@@ -43,6 +43,7 @@ use std::time::Instant;
 
 use fatrobots_geometry::visibility::VisibilityConfig;
 use fatrobots_geometry::Point;
+use fatrobots_sim::json::JsonValue;
 use fatrobots_sim::parallel::compute_pair_answers;
 use fatrobots_sim::world::{PairAnswers, World, WorldMode};
 
@@ -391,18 +392,33 @@ fn main() -> ExitCode {
     }
 
     if let Ok(path) = std::env::var("SCALE_TELEMETRY") {
-        let json = format!(
-            "{{\n  \"n\": {N},\n  \"events\": {EVENT_BUDGET},\n  \"threads\": {threads},\n  \
-             \"events_per_sec\": {events_per_sec:.1},\n  \"cache_hits\": {hits},\n  \
-             \"cache_misses\": {misses},\n  \"cover_answers\": {covers},\n  \
-             \"cert_skips\": {skips},\n  \"pair_entries\": {entries},\n  \
-             \"registrations\": {registrations},\n  \"par_batches\": {},\n  \
-             \"par_batched_looks\": {},\n  \"par_pair_tasks\": {},\n  \
-             \"fingerprint\": \"{state_fp:#018x}\",\n  \"heap_live_mib\": {live_mib:.1},\n  \
-             \"heap_peak_mib\": {peak_mib:.1},\n  \"ok\": {ok}\n}}\n",
-            stats.batches, stats.batched_looks, stats.pair_tasks,
-        );
-        if let Err(e) = std::fs::write(&path, json) {
+        // Counters as JSON integers; rates and heap sizes rounded to the
+        // one decimal printed above.
+        let count = |v: u64| JsonValue::Int(v as i64);
+        let tenths = |v: f64| JsonValue::num((v * 10.0).round() / 10.0);
+        let telemetry = JsonValue::Obj(vec![
+            ("n".into(), count(N as u64)),
+            ("events".into(), count(EVENT_BUDGET as u64)),
+            ("threads".into(), count(threads as u64)),
+            ("events_per_sec".into(), tenths(events_per_sec)),
+            ("cache_hits".into(), count(hits)),
+            ("cache_misses".into(), count(misses)),
+            ("cover_answers".into(), count(covers)),
+            ("cert_skips".into(), count(skips)),
+            ("pair_entries".into(), count(entries)),
+            ("registrations".into(), count(registrations)),
+            ("par_batches".into(), count(stats.batches)),
+            ("par_batched_looks".into(), count(stats.batched_looks)),
+            ("par_pair_tasks".into(), count(stats.pair_tasks)),
+            (
+                "fingerprint".into(),
+                JsonValue::Str(format!("{state_fp:#018x}")),
+            ),
+            ("heap_live_mib".into(), tenths(live_mib)),
+            ("heap_peak_mib".into(), tenths(peak_mib)),
+            ("ok".into(), JsonValue::Bool(ok)),
+        ]);
+        if let Err(e) = std::fs::write(&path, telemetry.to_pretty()) {
             eprintln!("scale_smoke: FAIL — cannot write telemetry to {path}: {e}");
             ok = false;
         }

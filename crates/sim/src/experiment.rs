@@ -625,7 +625,7 @@ impl ExperimentTable {
 
 /// A table before execution: identity, caption, and the labelled spec
 /// groups. Execute with [`TableSpec::execute`] (one-shot scoped sweep) or
-/// [`TableSpec::execute_on`] (a shared [`SweepPool`](crate::sweep::SweepPool)
+/// [`TableSpec::execute_on`] (a shared [`SweepPool`]
 /// reused across tables, as the `report` binary does).
 #[derive(Debug, Clone)]
 pub struct TableSpec {

@@ -37,6 +37,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::experiment::{self, AdversaryKind, RunSpec};
 use crate::init::Shape;
+use crate::json::{self, JsonValue};
 
 /// Per-robot event floor kept by the budget-prefix shrink: a shrunk
 /// non-gathering fixture must still grant every robot a few hundred
@@ -136,6 +137,18 @@ pub struct Finding {
     /// `"pilot"` for pilot-corpus scenarios, `"random"` for swept ones,
     /// `"mutation"` for [`perturb`]ed neighbors of a mutation corpus.
     pub origin: &'static str,
+}
+
+impl Finding {
+    /// The regression fixture this finding is filed as.
+    pub fn fixture(&self) -> Fixture {
+        Fixture {
+            spec: self.spec,
+            expected: self.census,
+            origin: self.origin.to_string(),
+            shrink_steps: self.shrink_steps,
+        }
+    }
 }
 
 /// The outcome of a fuzz campaign.
@@ -255,7 +268,7 @@ fn random_scenario(rng: &mut StdRng) -> ScenarioSpec {
 /// per call — the seed is redrawn from the fuzz pool (skipping the current
 /// value), the shape steps to an adjacent entry of [`Shape::ALL`], or `n`
 /// is nudged by one — and the event budget is re-derived from
-/// [`sweep_cap`], so a mutated draw is judged under the same cap as a
+/// `sweep_cap`, so a mutated draw is judged under the same cap as a
 /// fresh random one. Deterministic in the rng state, like every other
 /// draw.
 pub fn perturb(spec: &ScenarioSpec, rng: &mut StdRng) -> ScenarioSpec {
@@ -425,6 +438,9 @@ pub fn fuzz_with_corpus(config: &FuzzConfig, corpus: &[ScenarioSpec]) -> FuzzRep
     report
 }
 
+/// The `fixture_schema` stamped into (and required of) every fixture.
+const FIXTURE_SCHEMA: i64 = 1;
+
 /// A committed regression fixture: the shrunk scenario plus its expected
 /// census and provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -433,7 +449,7 @@ pub struct Fixture {
     pub spec: ScenarioSpec,
     /// The census the replay must reproduce exactly.
     pub expected: Census,
-    /// `"pilot"` or `"random"`.
+    /// `"pilot"`, `"random"` or `"mutation"` (see [`Finding::origin`]).
     pub origin: String,
     /// Accepted shrink moves behind this fixture.
     pub shrink_steps: u32,
@@ -450,55 +466,121 @@ impl Fixture {
         name
     }
 
-    /// Serializes the fixture (byte-stable: fixed field order, fixed
-    /// indentation, `\n` line ends).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"fixture_schema\": 1,\n  \"n\": {},\n  \"seed\": {},\n  \"shape\": \"{}\",\n  \"adversary\": \"{}\",\n  \"fault_k\": {},\n  \"max_events\": {},\n  \"origin\": \"{}\",\n  \"shrink_steps\": {},\n  \"census\": {{\n    \"gathered\": {},\n    \"terminated\": {},\n    \"events\": {},\n    \"distance_bits\": {}\n  }}\n}}\n",
-            self.spec.n,
-            self.spec.seed,
-            self.spec.shape.name(),
-            self.spec.adversary.name(),
-            self.spec.adversary.fault_k(),
-            self.spec.max_events,
-            self.origin,
-            self.shrink_steps,
-            self.expected.gathered,
-            self.expected.terminated,
-            self.expected.events,
-            self.expected.distance_bits,
-        )
+    /// The fixture as one JSON record: `fixture_schema`, the scenario, its
+    /// provenance and the expected `census`, in that fixed key order. The
+    /// fixture files and every finding of `report fuzz --json` are this
+    /// record.
+    ///
+    /// # Panics
+    ///
+    /// If a field exceeds `i64::MAX`, the JSON integer range: a seed of
+    /// 2⁶³ or more, or the bit pattern of a negative or NaN distance.
+    /// Neither the fuzzer nor [`Self::from_json`] produces such a fixture.
+    pub fn to_record(&self) -> JsonValue {
+        let census = &self.expected;
+        JsonValue::Obj(vec![
+            ("fixture_schema".into(), JsonValue::Int(FIXTURE_SCHEMA)),
+            ("n".into(), int(self.spec.n as u64)),
+            ("seed".into(), int(self.spec.seed)),
+            (
+                "shape".into(),
+                JsonValue::Str(self.spec.shape.name().into()),
+            ),
+            (
+                "adversary".into(),
+                JsonValue::Str(self.spec.adversary.name().into()),
+            ),
+            ("fault_k".into(), int(self.spec.adversary.fault_k() as u64)),
+            ("max_events".into(), int(self.spec.max_events as u64)),
+            ("origin".into(), JsonValue::Str(self.origin.clone())),
+            ("shrink_steps".into(), int(u64::from(self.shrink_steps))),
+            (
+                "census".into(),
+                JsonValue::Obj(vec![
+                    ("gathered".into(), JsonValue::Bool(census.gathered)),
+                    ("terminated".into(), JsonValue::Bool(census.terminated)),
+                    ("events".into(), int(census.events as u64)),
+                    ("distance_bits".into(), int(census.distance_bits)),
+                ]),
+            ),
+        ])
     }
 
-    /// Parses a fixture serialized by [`Self::to_json`].
+    /// Serializes the fixture: [`Self::to_record`], pretty-printed
+    /// (byte-stable: fixed key order, two-space indentation, `\n` line
+    /// ends). Panics where [`Self::to_record`] does.
+    pub fn to_json(&self) -> String {
+        self.to_record().to_pretty()
+    }
+
+    /// Parses a fixture serialized by [`Self::to_json`]. A missing key, a
+    /// mistyped or negative value, an unknown shape or adversary and any
+    /// `fixture_schema` other than 1 are errors.
     pub fn from_json(text: &str) -> Result<Fixture, String> {
-        let doc = mini_json::parse(text)?;
-        let census = doc.obj("census")?;
-        let shape_name = doc.str("shape")?;
+        let doc = json::parse(text)?;
+        let schema = uint(&doc, "fixture_schema")?;
+        if schema != FIXTURE_SCHEMA as u64 {
+            return Err(format!(
+                "unsupported fixture_schema {schema} (this build reads {FIXTURE_SCHEMA})"
+            ));
+        }
+        let census = doc.get("census").ok_or("missing key 'census'")?;
+        let shape_name = field(&doc, "shape", JsonValue::as_str, "a string")?;
         let shape =
-            Shape::from_name(&shape_name).ok_or_else(|| format!("unknown shape '{shape_name}'"))?;
-        let adversary_name = doc.str("adversary")?;
-        let fault_k = doc.u64("fault_k")? as usize;
-        let adversary = AdversaryKind::from_name(&adversary_name, fault_k)
+            Shape::from_name(shape_name).ok_or_else(|| format!("unknown shape '{shape_name}'"))?;
+        let adversary_name = field(&doc, "adversary", JsonValue::as_str, "a string")?;
+        let fault_k = uint(&doc, "fault_k")? as usize;
+        let adversary = AdversaryKind::from_name(adversary_name, fault_k)
             .ok_or_else(|| format!("unknown adversary '{adversary_name}'"))?;
         Ok(Fixture {
             spec: ScenarioSpec {
-                n: doc.u64("n")? as usize,
-                seed: doc.u64("seed")?,
+                n: uint(&doc, "n")? as usize,
+                seed: uint(&doc, "seed")?,
                 shape,
                 adversary,
-                max_events: doc.u64("max_events")? as usize,
+                max_events: uint(&doc, "max_events")? as usize,
             },
             expected: Census {
-                gathered: census.bool("gathered")?,
-                terminated: census.bool("terminated")?,
-                events: census.u64("events")? as usize,
-                distance_bits: census.u64("distance_bits")?,
+                gathered: field(census, "gathered", JsonValue::as_bool, "a boolean")?,
+                terminated: field(census, "terminated", JsonValue::as_bool, "a boolean")?,
+                events: uint(census, "events")? as usize,
+                distance_bits: uint(census, "distance_bits")?,
             },
-            origin: doc.str("origin")?,
-            shrink_steps: doc.u64("shrink_steps")? as u32,
+            origin: field(&doc, "origin", JsonValue::as_str, "a string")?.to_string(),
+            shrink_steps: u32::try_from(uint(&doc, "shrink_steps")?)
+                .map_err(|_| "'shrink_steps' is out of range".to_string())?,
         })
     }
+}
+
+/// A fixture field as a JSON integer. Fuzzed fixtures always fit `i64`:
+/// seeds come from the fuzz pool, the counts are event budgets, and
+/// `distance_bits` is the bit pattern of a non-negative distance, whose
+/// sign bit is clear.
+fn int(v: u64) -> JsonValue {
+    JsonValue::Int(i64::try_from(v).expect("fixture fields fit in a JSON i64"))
+}
+
+/// The field `key` of a fixture record, read by `read`; `kind` names the
+/// expected type in the error.
+fn field<'a, T>(
+    obj: &'a JsonValue,
+    key: &str,
+    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    kind: &str,
+) -> Result<T, String> {
+    let value = obj.get(key).ok_or_else(|| format!("missing key '{key}'"))?;
+    read(value).ok_or_else(|| format!("'{key}' is not {kind}"))
+}
+
+/// The non-negative integer field `key` of a fixture record.
+fn uint(obj: &JsonValue, key: &str) -> Result<u64, String> {
+    field(
+        obj,
+        key,
+        |v| v.as_i64().and_then(|v| u64::try_from(v).ok()),
+        "a non-negative integer",
+    )
 }
 
 /// Writes one fixture file per finding into `dir` (created if missing).
@@ -507,12 +589,7 @@ pub fn write_fixtures(report: &FuzzReport, dir: &Path) -> io::Result<Vec<PathBuf
     std::fs::create_dir_all(dir)?;
     let mut paths = Vec::with_capacity(report.findings.len());
     for finding in &report.findings {
-        let fixture = Fixture {
-            spec: finding.spec,
-            expected: finding.census,
-            origin: finding.origin.to_string(),
-            shrink_steps: finding.shrink_steps,
-        };
+        let fixture = finding.fixture();
         let path = dir.join(fixture.file_name());
         // Atomic (temp + rename): a killed fuzz run never leaves a torn
         // fixture for the regression loader to choke on.
@@ -546,190 +623,6 @@ pub fn load_fixtures(dir: &Path) -> io::Result<Vec<(PathBuf, Fixture)>> {
             Ok((path, fixture))
         })
         .collect()
-}
-
-/// A minimal JSON reader for the fixture files — the sim crate cannot use
-/// `fatrobots_bench::json` (bench depends on sim), and the fixtures are a
-/// closed format this module itself emits: objects, strings without
-/// escapes, unsigned integers, booleans.
-mod mini_json {
-    /// A parsed JSON value (the subset the fixtures use).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// An object, in document order.
-        Obj(Vec<(String, Value)>),
-        /// A string (no escape sequences).
-        Str(String),
-        /// An unsigned integer (`distance_bits` exceeds `i64`).
-        U64(u64),
-        /// A boolean.
-        Bool(bool),
-    }
-
-    impl Value {
-        fn get(&self, key: &str) -> Result<&Value, String> {
-            match self {
-                Value::Obj(fields) => fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("missing key '{key}'")),
-                _ => Err(format!("'{key}' looked up on a non-object")),
-            }
-        }
-
-        pub fn obj(&self, key: &str) -> Result<&Value, String> {
-            let v = self.get(key)?;
-            match v {
-                Value::Obj(_) => Ok(v),
-                _ => Err(format!("'{key}' is not an object")),
-            }
-        }
-
-        pub fn str(&self, key: &str) -> Result<String, String> {
-            match self.get(key)? {
-                Value::Str(s) => Ok(s.clone()),
-                _ => Err(format!("'{key}' is not a string")),
-            }
-        }
-
-        pub fn u64(&self, key: &str) -> Result<u64, String> {
-            match self.get(key)? {
-                Value::U64(v) => Ok(*v),
-                _ => Err(format!("'{key}' is not an unsigned integer")),
-            }
-        }
-
-        pub fn bool(&self, key: &str) -> Result<bool, String> {
-            match self.get(key)? {
-                Value::Bool(v) => Ok(*v),
-                _ => Err(format!("'{key}' is not a boolean")),
-            }
-        }
-    }
-
-    /// Parses one JSON document (object at the root).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.at));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        at: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.at)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.at += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.at).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.at += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.at))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'0'..=b'9') => self.number(),
-                Some(b't') | Some(b'f') => self.boolean(),
-                other => Err(format!("unexpected {other:?} at byte {}", self.at)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.at += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                fields.push((key, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b'}') => {
-                        self.at += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    other => return Err(format!("unexpected {other:?} in object")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.at;
-            while let Some(b) = self.peek() {
-                if b == b'"' {
-                    let s = std::str::from_utf8(&self.bytes[start..self.at])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?
-                        .to_string();
-                    self.at += 1;
-                    return Ok(s);
-                }
-                if b == b'\\' {
-                    return Err("escape sequences are not part of the fixture format".into());
-                }
-                self.at += 1;
-            }
-            Err("unterminated string".into())
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.at;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.at += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.at])
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(Value::U64)
-                .ok_or_else(|| format!("invalid integer at byte {start}"))
-        }
-
-        fn boolean(&mut self) -> Result<Value, String> {
-            for (literal, value) in [("true", true), ("false", false)] {
-                if self.bytes[self.at..].starts_with(literal.as_bytes()) {
-                    self.at += literal.len();
-                    return Ok(Value::Bool(value));
-                }
-            }
-            Err(format!("invalid literal at byte {}", self.at))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -773,6 +666,11 @@ mod tests {
         assert!(Fixture::from_json("{\"n\": 3").is_err());
         let good = stall_fixture().to_json();
         assert!(Fixture::from_json(&good.replace("random", "no-such-shape")).is_err());
+        let future = good.replace("\"fixture_schema\": 1,", "\"fixture_schema\": 2,");
+        assert_ne!(future, good);
+        assert!(Fixture::from_json(&future)
+            .unwrap_err()
+            .contains("fixture_schema"));
         assert!(Fixture::from_json(&(good + "x")).is_err());
     }
 

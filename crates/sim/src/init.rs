@@ -275,7 +275,7 @@ pub fn near_collinear(n: usize, gap: f64, eps: f64) -> Vec<Point> {
 pub enum Shape {
     /// [`random_spread`] over a square sized for the robot count.
     Random,
-    /// [`line`] with a 3-radius gap.
+    /// [`line()`] with a 3-radius gap.
     Line,
     /// [`grid`] with a 1-radius gap.
     Grid,

@@ -1,15 +1,16 @@
 //! A minimal hand-rolled JSON layer.
 //!
-//! The workspace is offline (no serde), but `bench_report.json` still has to
-//! be real JSON so CI artifacts are consumable by ordinary tooling. This
-//! module provides the three pieces the report needs and nothing more:
+//! The workspace is offline (no serde), but `bench_report.json` and the
+//! fuzz fixtures still have to be real JSON so CI artifacts are consumable
+//! by ordinary tooling. This module is the workspace's one JSON codec and
+//! provides three pieces and nothing more:
 //!
 //! * [`JsonValue`] — an ordered document model (object keys keep insertion
-//!   order so reports are stable and diffable);
+//!   order so reports and fixtures are stable and diffable);
 //! * a pretty writer ([`JsonValue::to_pretty`]) with full string escaping
 //!   and RFC 8259-safe number handling (non-finite floats become `null`);
-//! * a strict recursive-descent parser ([`parse`]) used by the integration
-//!   tests to prove the emitted report round-trips.
+//! * a strict recursive-descent parser ([`parse`]) that reads fixtures and
+//!   baselines back, and proves the emitted documents round-trip.
 
 use std::fmt::Write as _;
 
@@ -74,6 +75,22 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value of an integer; `None` for anything else (floats included).
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            JsonValue::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value of a boolean; `None` for non-booleans.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -518,5 +535,10 @@ mod tests {
         assert_eq!(doc.get("a").and_then(JsonValue::as_arr).unwrap().len(), 2);
         assert_eq!(doc.get("b").and_then(JsonValue::as_str), Some("x"));
         assert!(doc.get("c").is_none());
+        let doc = parse(r#"{"i": -3, "f": 1.0, "t": true}"#).unwrap();
+        assert_eq!(doc.get("i").and_then(JsonValue::as_i64), Some(-3));
+        assert_eq!(doc.get("f").and_then(JsonValue::as_i64), None);
+        assert_eq!(doc.get("t").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(doc.get("i").and_then(JsonValue::as_bool), None);
     }
 }

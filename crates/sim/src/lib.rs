@@ -13,7 +13,7 @@
 //!   plus inlined completed summaries, written atomically and decoded with
 //!   recovery to the last valid record, so a killed sweep resumes
 //!   byte-identically;
-//! * [`engine`] — the [`Simulator`](engine::Simulator): one event per call,
+//! * [`engine`] — the [`Simulator`]: one event per call,
 //!   motion integration with contact detection, validity assertions,
 //!   termination detection, an event budget, and a cooperative
 //!   cancellation flag for supervised runs;
@@ -32,6 +32,9 @@
 //!   and attributes ε-vs-exact decision divergences to predicate sites;
 //! * [`experiment`] — the parameter-sweep harness behind the `report`
 //!   tables (README, `report` section) and the Criterion benches;
+//! * [`json`] — the workspace's one JSON codec: an ordered document
+//!   model, a pretty writer and a strict parser, shared by the fuzz
+//!   fixtures and the `report` binary's `bench_report.json`;
 //! * [`fuzz`] — the shrinking scenario fuzzer: sweeps shape × adversary ×
 //!   fault × n × seed under an event budget hunting non-gathering runs,
 //!   shrinks finds via deterministic replay, and emits the livelock
@@ -75,6 +78,7 @@ pub mod engine;
 pub mod experiment;
 pub mod fuzz;
 pub mod init;
+pub mod json;
 pub mod metrics;
 pub mod parallel;
 pub mod render;

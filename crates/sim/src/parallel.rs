@@ -23,7 +23,7 @@
 //!   telemetry — lands exactly as a serial run would have left it.
 //! * **Speculative Compute.** When a Look stamps a view version the
 //!   decision cache does not cover, the snapshot is cloned to a persistent
-//!   worker pool ([`SpecPool`]) which pre-runs `Strategy::decide_with`.
+//!   worker pool (`SpecPool`) which pre-runs `Strategy::decide_with`.
 //!   The robot's next Compute validates the result against the snapshot's
 //!   version stamp (the PR 5 contract: version-stable ⇒ bit-identical
 //!   view) and replays it as a decision-cache miss — same decision, same

@@ -35,7 +35,7 @@
 //! always completes with every non-failing summary in place.
 //!
 //! The watchdog is cooperative: each supervised run gets an armed
-//! [`CancelFlag`](crate::engine::CancelFlag) wired into
+//! [`CancelFlag`] wired into
 //! [`SimConfig::cancel`](crate::engine::SimConfig), and one shared watchdog
 //! thread raises the flag when the run's wall-clock budget expires. The
 //! engine polls the flag between events, so cancellation always lands on a

@@ -21,7 +21,7 @@ use std::path::Path;
 
 use fatrobots::prelude::*;
 use fatrobots::sim::experiment::{run, AdversaryKind, RunSpec, StrategyKind};
-use fatrobots::sim::fuzz::{self, Fixture};
+use fatrobots::sim::fuzz;
 use fatrobots::sim::init::Shape;
 
 /// Shadow-oracle verdict on the livelock, pinned (see ROADMAP.md): over a
@@ -206,9 +206,9 @@ fn livelock_window_replays_identically_under_the_parallel_executor() {
 }
 
 /// Every fixture the scenario fuzzer has filed under
-/// `tests/fixtures/livelock/` replays to its recorded census — gathered /
-/// terminated flags, event count and the *bit pattern* of the travelled
-/// distance. The fuzzer (`report fuzz`) auto-files new stalls here; this
+/// `tests/fixtures/livelock/` is byte-canonical and replays to its
+/// recorded census — gathered / terminated flags, event count and the
+/// *bit pattern* of the travelled distance. The fuzzer (`report fuzz`) auto-files new stalls here; this
 /// test picks them up without code changes, so a stall found once stays
 /// found. A failure means either a genuine behavioural change in the
 /// engine (diagnose before touching the fixture!) or an intentional
@@ -224,6 +224,16 @@ fn fuzz_fixtures_replay_to_their_recorded_census() {
         dir.display()
     );
     for (path, fixture) in fixtures {
+        // The on-disk bytes are exactly the canonical serialization of what
+        // they parse to, so the CI fuzz-smoke job can compare regenerated
+        // fixtures with a plain byte diff.
+        let text = std::fs::read_to_string(&path).expect("fixture readable");
+        assert_eq!(
+            fixture.to_json(),
+            text,
+            "{} is not in canonical serialization",
+            path.display()
+        );
         let census = fuzz::replay(&fixture.spec);
         assert_eq!(
             census,
@@ -236,23 +246,6 @@ fn fuzz_fixtures_replay_to_their_recorded_census() {
             !census.gathered,
             "{}: a livelock fixture gathered — the underlying stall is \
              fixed; fold it into the census tables and retire the fixture",
-            path.display()
-        );
-        // The on-disk bytes are exactly the canonical serialization, so
-        // the CI fuzz-smoke job can compare regenerated fixtures with a
-        // plain byte diff.
-        let on_disk = std::fs::read_to_string(&path).expect("fixture readable");
-        let canonical = Fixture {
-            spec: fixture.spec,
-            expected: fixture.expected,
-            origin: fixture.origin.clone(),
-            shrink_steps: fixture.shrink_steps,
-        }
-        .to_json();
-        assert_eq!(
-            on_disk,
-            canonical,
-            "{} is not in canonical serialization",
             path.display()
         );
     }
